@@ -9,6 +9,8 @@
 //! with 5-bit/2-bit wires. This module carries the *sets*; the codeword
 //! assignment lives in [`crate::codebook`].
 
+use std::collections::VecDeque;
+
 use punchsim_types::{Direction, NodeId, RouteView};
 
 /// Maximum distinct targets a single punch signal can carry after
@@ -128,8 +130,11 @@ pub struct PunchFabric {
     /// Double buffer for `arriving`, reused across ticks so the steady-state
     /// tick allocates nothing. Always all-empty between ticks.
     scratch: Vec<[PunchSet; 4]>,
-    /// Pending locally generated targets per router and output direction.
-    gen_queues: Vec<[Vec<NodeId>; 4]>,
+    /// Pending locally generated targets, `gen_queues[direction][router]`.
+    /// One vector per direction keeps each allocation at 32 bytes per
+    /// router: a single router-major array reaches glibc's 128 KiB mmap
+    /// threshold at 32x32, which made construction measurably slower.
+    gen_queues: [Vec<VecDeque<NodeId>>; 4],
     /// Exact count of non-empty `arriving` sets, maintained incrementally so
     /// an idle fabric's tick is an O(1) early return and `is_idle`/`pending`
     /// never rescan the mesh.
@@ -155,7 +160,7 @@ impl PunchFabric {
             hops,
             arriving: vec![[PunchSet::new(); 4]; n],
             scratch: vec![[PunchSet::new(); 4]; n],
-            gen_queues: vec![Default::default(); n],
+            gen_queues: std::array::from_fn(|_| (0..n).map(|_| VecDeque::new()).collect()),
             wires_live: 0,
             gens_queued: 0,
             hops_sent: 0,
@@ -185,8 +190,8 @@ impl PunchFabric {
                 }
             }
         }
-        for queues in &self.gen_queues {
-            for q in queues {
+        for idx in 0..self.arriving.len() {
+            for q in self.gen_queues.iter().map(|by_router| &by_router[idx]) {
                 put_u8(out, q.len() as u8);
                 for t in q {
                     put_u16(out, t.0);
@@ -210,7 +215,7 @@ impl PunchFabric {
             .view
             .direction(router, target)
             .expect("target != router by construction");
-        self.gen_queues[router.index()][dir.index()].push(target);
+        self.gen_queues[dir.index()][router.index()].push_back(target);
         self.gens_queued += 1;
         Some(target)
     }
@@ -283,13 +288,9 @@ impl PunchFabric {
     /// Pops the next queued local generation for output `d` of router `idx`,
     /// skipping targets that merge into already-forwarded sets for free.
     fn pop_gen(&mut self, idx: usize, d: usize) -> Option<NodeId> {
-        let q = &mut self.gen_queues[idx][d];
-        if q.is_empty() {
-            None
-        } else {
-            self.gens_queued -= 1;
-            Some(q.remove(0))
-        }
+        let target = self.gen_queues[d][idx].pop_front()?;
+        self.gens_queued -= 1;
+        Some(target)
     }
 
     /// In-flight punch sets as `(link_source, direction, set)` — the set is
@@ -333,7 +334,7 @@ impl PunchFabric {
             self.gen_queues
                 .iter()
                 .flat_map(|g| g.iter())
-                .map(Vec::len)
+                .map(VecDeque::len)
                 .sum::<usize>()
         );
         self.wires_live + self.gens_queued

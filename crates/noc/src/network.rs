@@ -24,7 +24,7 @@ use crate::link::Pipe;
 use crate::ni::Ni;
 use crate::pool::{Job, ShardPool};
 use crate::power::{IdleInfo, PmEvent, PowerManager, PowerState};
-use crate::router::{Router, RouterActivity};
+use crate::router::{AllocOutcome, Router, RouterActivity};
 use crate::soa::{self, BusyKernel, FlatAvail, PmAvail, ShardBuf, ShardView, SoaState, TickCtx};
 use crate::stats::{NetStats, NetworkReport};
 use crate::trace::{PacketRecord, TraceLog};
@@ -224,6 +224,9 @@ pub struct Network {
     /// Per-shard phase-A outcome buffers (reused; steady-state ticks
     /// allocate nothing).
     shard_bufs: Vec<ShardBuf>,
+    /// Reusable allocation outcome for the struct kernel (the SoA kernel
+    /// keeps one per shard in its `ShardBuf`).
+    alloc_scratch: AllocOutcome,
     /// Reusable per-tick idleness scratch (steady-state tick allocates
     /// nothing).
     idle_scratch: Vec<bool>,
@@ -345,6 +348,7 @@ impl Network {
             soa: SoaState::new(n),
             soa_dirty: false,
             shard_bufs: Vec::new(),
+            alloc_scratch: AllocOutcome::default(),
             idle_scratch: Vec::with_capacity(n),
             seen_scratch: Vec::with_capacity(n),
             any_streak: false,
@@ -796,6 +800,7 @@ impl Network {
             soa: self.soa.clone(),
             soa_dirty: self.soa_dirty,
             shard_bufs: Vec::new(),
+            alloc_scratch: AllocOutcome::default(),
             idle_scratch: Vec::with_capacity(self.routers.len()),
             seen_scratch: Vec::with_capacity(self.routers.len()),
             any_streak: self.any_streak,
@@ -1283,9 +1288,15 @@ impl Network {
         }
         // --- 3. allocation outcomes --------------------------------------
         for buf in &mut bufs {
-            for (idx, outcome) in buf.alloc.drain(..) {
+            let (mut dep_from, mut blocked_from) = (0, 0);
+            for span in &buf.alloc {
+                let idx = span.router;
                 let here = NodeId(idx as u16);
-                for b in outcome.pg_blocked {
+                let out = &buf.alloc_out;
+                let blocked = &out.pg_blocked[blocked_from..span.blocked_end];
+                let departures = &out.departures[dep_from..span.departures_end];
+                (dep_from, blocked_from) = (span.departures_end, span.blocked_end);
+                for b in blocked {
                     let d = b
                         .next_router_port
                         .direction()
@@ -1304,7 +1315,7 @@ impl Network {
                         }
                     }
                 }
-                for dep in outcome.departures {
+                for dep in departures {
                     self.moved = true;
                     self.credits_in_flight += 1;
                     match dep.in_port {
@@ -1325,7 +1336,7 @@ impl Network {
                     }
                     match dep.out_port {
                         Port::Local => {
-                            self.eject_in[idx].push_at(dep.flit, now + 2);
+                            self.eject_in[idx].push_at(dep.flit.clone(), now + 2);
                             self.soa.eject_pend.set(idx);
                         }
                         Port::Link(d) => {
@@ -1334,7 +1345,7 @@ impl Network {
                                 .topo
                                 .neighbor(here, d)
                                 .expect("allocation never targets a mesh edge");
-                            let mut flit = dep.flit;
+                            let mut flit = dep.flit.clone();
                             flit.route_port = match self.view.direction(next, flit.dst) {
                                 Some(nd) => Port::Link(nd),
                                 None => Port::Local,
@@ -1701,6 +1712,7 @@ impl Network {
             return; // nothing buffered, queued or injectable anywhere
         }
         let link = self.cfg.link_latency as Cycle;
+        let mut out = std::mem::take(&mut self.alloc_scratch);
         for idx in 0..self.routers.len() {
             // Allocation is a pure no-op on a router with no buffered flits
             // (rotating priorities and activity counters move only on
@@ -1724,8 +1736,9 @@ impl Network {
                     .neighbor(here, d)
                     .is_some_and(|n| self.pm.is_available(n, arrival)),
             });
-            let outcome = self.routers[idx].allocate(now, &down_on);
-            for b in outcome.pg_blocked {
+            out.clear();
+            self.routers[idx].allocate(now, &down_on, &mut out);
+            for b in &out.pg_blocked {
                 let d = b
                     .next_router_port
                     .direction()
@@ -1746,7 +1759,7 @@ impl Network {
                     }
                 }
             }
-            for dep in outcome.departures {
+            for dep in out.departures.drain(..) {
                 self.moved = true;
                 // Credit back to the upstream of the input the flit vacated.
                 self.credits_in_flight += 1;
@@ -1788,6 +1801,7 @@ impl Network {
                 }
             }
         }
+        self.alloc_scratch = out;
     }
 
     fn deliver_ejections(&mut self, now: Cycle) {

@@ -14,7 +14,7 @@
 //! crossbar (ST) at `s + 1` and is latched downstream at
 //! `s + 1 + link_latency + 1`.
 
-use punchsim_types::{Cycle, NodeId, PacketId, Port, PortMap};
+use punchsim_types::{Cycle, NodeId, PacketId, Port, PortMap, MAX_VCS_PER_PORT};
 
 use crate::flit::Flit;
 use crate::vc::{Vc, VcLayout, VcRoute};
@@ -51,7 +51,7 @@ impl RouterActivity {
 }
 
 /// A flit leaving the router this cycle, as reported by [`Router::allocate`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Departure {
     /// Output port the flit leaves through.
     pub out_port: Port,
@@ -64,7 +64,7 @@ pub struct Departure {
 }
 
 /// A head-of-line flit stalled only because the downstream router is not on.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PgBlocked {
     /// The sleeping/waking router that must power on.
     pub next_router_port: Port,
@@ -72,14 +72,51 @@ pub struct PgBlocked {
     pub packet: PacketId,
 }
 
-/// Result of one allocation cycle.
+/// What allocation produced. Caller-owned scratch: [`Router::allocate`]
+/// appends to it and never clears it, so one buffer reused across routers
+/// and ticks keeps the steady-state tick free of heap allocation.
 #[derive(Debug, Default)]
 pub struct AllocOutcome {
-    /// Flits granted ST this cycle.
+    /// Flits granted ST.
     pub departures: Vec<Departure>,
-    /// Packets stalled by power-gating this cycle (one entry per stalled
-    /// packet whose *only* missing resource is the downstream router).
+    /// Packets stalled by power-gating (one entry per stalled packet and
+    /// router whose *only* missing resource is the downstream router).
     pub pg_blocked: Vec<PgBlocked>,
+}
+
+impl AllocOutcome {
+    /// Empties both lists, keeping their capacity.
+    pub fn clear(&mut self) {
+        self.departures.clear();
+        self.pg_blocked.clear();
+    }
+}
+
+/// Iterates the set bits of a word in ascending order.
+struct SetBits(u64);
+
+impl Iterator for SetBits {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        if self.0 == 0 {
+            return None;
+        }
+        let bit = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1;
+        Some(bit)
+    }
+}
+
+/// Splits `word` at bit `start` (`< 64`) into the bits `>= start` and the
+/// bits below it. Visiting the first part then the second, each ascending,
+/// meets the set bits in the order `(start + off) % width` does for
+/// `off in 0..width`: the rotating-priority order of a modular scan.
+#[inline]
+fn split_at_bit(word: u64, start: usize) -> (u64, u64) {
+    let low = (1u64 << start) - 1;
+    (word & !low, word & low)
 }
 
 /// One mesh router: five ports of VC buffers plus separable VA/SA allocators.
@@ -98,10 +135,12 @@ pub struct Router {
     va_rr: PortMap<usize>,
     sa_in_rr: PortMap<usize>,
     sa_out_rr: PortMap<usize>,
-    /// Total flits across all input VCs, kept in sync by `latch` and the
-    /// SA-grant pop so `datapath_empty` is O(1). The per-tick allocation
-    /// early-out and the power manager's idle scan both sit on it.
-    buffered: u32,
+    /// Occupied-VC mask per input port: bit `v` of `occ[p]` is set exactly
+    /// when input VC `v` of port `p` holds a flit. `latch` sets it and the
+    /// SA pop that empties a VC clears it. Both allocators visit only set
+    /// bits, and `datapath_empty` is a test of five words. Derived from
+    /// `inputs`, so it stays out of `encode_state`.
+    occ: PortMap<u64>,
     /// Activity counters for the power model.
     pub activity: RouterActivity,
 }
@@ -115,8 +154,17 @@ impl Router {
     /// `has_neighbor` marks which link directions exist (mesh edges have
     /// fewer); absent neighbours get zero credits so allocation never
     /// selects them (XY routing never requests them anyway).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layout has more than [`MAX_VCS_PER_PORT`] VCs per
+    /// port, which `NocConfig::validate` rejects up front.
     pub fn new(id: NodeId, layout: VcLayout, stages: u8, has_neighbor: PortMap<bool>) -> Self {
         let total = layout.total();
+        assert!(
+            total <= MAX_VCS_PER_PORT,
+            "{total} VCs per port exceed the occupied-VC mask ({MAX_VCS_PER_PORT})"
+        );
         let inputs = PortMap::from_fn(|_| (0..total).map(|i| Vc::new(layout.depth(i))).collect());
         let out_credits = PortMap::from_fn(|p| match p {
             Port::Local => vec![EJECT_CREDITS; total],
@@ -135,7 +183,7 @@ impl Router {
             va_rr: PortMap::default(),
             sa_in_rr: PortMap::default(),
             sa_out_rr: PortMap::default(),
-            buffered: 0,
+            occ: PortMap::default(),
             activity: RouterActivity::default(),
         }
     }
@@ -149,9 +197,9 @@ impl Router {
     pub fn latch(&mut self, port: Port, mut flit: Flit, cycle: Cycle) {
         flit.latched_at = cycle;
         self.activity.buffer_writes += 1;
-        self.buffered += 1;
         let vc = flit.vc;
         self.inputs[port][vc].push(flit);
+        self.occ[port] |= 1 << vc;
     }
 
     /// Returns a credit for downstream VC `vc` of output `port`.
@@ -167,14 +215,22 @@ impl Router {
     /// datapath) — one of the conditions for power-gating the router.
     /// O(1): the network checks it for every router every busy cycle.
     pub fn datapath_empty(&self) -> bool {
-        debug_assert_eq!(
-            self.buffered == 0,
-            self.inputs
-                .iter()
-                .all(|(_, vcs)| vcs.iter().all(Vc::is_empty)),
-            "buffered-flit counter out of sync with the input VCs"
-        );
-        self.buffered == 0
+        debug_assert!(self.occ_in_sync(), "occupied-VC mask out of sync");
+        self.occ.iter().all(|(_, &w)| w == 0)
+    }
+
+    /// The occupied-VC word of `port`, recomputed from its VCs.
+    fn derive_occ(&self, port: Port) -> u64 {
+        self.inputs[port]
+            .iter()
+            .enumerate()
+            .filter(|(_, vc)| !vc.is_empty())
+            .fold(0, |w, (v, _)| w | 1 << v)
+    }
+
+    /// `true` when `occ` matches the VCs it mirrors (debug check).
+    fn occ_in_sync(&self) -> bool {
+        Port::ALL.iter().all(|&p| self.derive_occ(p) == self.occ[p])
     }
 
     /// Total buffered flits (debug/occupancy metric).
@@ -194,7 +250,7 @@ impl Router {
     /// decrease, which makes them a monotone counter in disguise. Activity
     /// counters are statistics and excluded per the snapshot rules.
     pub fn encode_state(&self, out: &mut Vec<u8>) {
-        use crate::snapshot::{put_bool, put_u8};
+        use crate::snapshot::{put_bool, put_u16, put_u8};
         for (_, vcs) in self.inputs.iter() {
             for vc in vcs {
                 if vc.is_empty() && vc.route == VcRoute::Unrouted {
@@ -219,8 +275,15 @@ impl Router {
                 put_bool(out, b);
             }
         }
+        // `va_rr` ranges over `0..5 * total`: one byte while that fits (the
+        // default layout's encoding), two bytes beyond.
+        let wide_va = 5 * self.layout.total() > 256;
         for (_, &rr) in self.va_rr.iter() {
-            put_u8(out, rr as u8);
+            if wide_va {
+                put_u16(out, rr as u16);
+            } else {
+                put_u8(out, rr as u8);
+            }
         }
         for (_, &rr) in self.sa_in_rr.iter() {
             put_u8(out, rr as u8);
@@ -230,79 +293,98 @@ impl Router {
         }
     }
 
-    /// Runs VC allocation then switch allocation for `cycle`.
+    /// Runs VC allocation then switch allocation for `cycle`, appending the
+    /// departures and PG-blocked packets to `out` (which it never clears).
     ///
     /// `down_on[p]` tells whether the router downstream of output `p` is
     /// fully powered on (`Local` must be `true`). Departing flits carry a
     /// recomputed look-ahead route for the next router; the network layer
     /// does that, so `route_port` on departures still refers to *this*
     /// router's output.
-    pub fn allocate(&mut self, cycle: Cycle, down_on: &PortMap<bool>) -> AllocOutcome {
+    pub fn allocate(&mut self, cycle: Cycle, down_on: &PortMap<bool>, out: &mut AllocOutcome) {
+        debug_assert!(self.occ_in_sync(), "occupied-VC mask out of sync");
         self.vc_allocate(cycle);
-        self.switch_allocate(cycle, down_on)
+        self.switch_allocate(cycle, down_on, out);
     }
 
     /// VC allocation: head flits at the front of their VC request an output
     /// VC of their (vnet, class) at their look-ahead output port.
+    ///
+    /// Each output grants over a rotating priority on the global input-VC
+    /// index `in_port * total + in_vc`, starting at `va_rr`. Visiting the
+    /// request bits of the start port from the start VC up, then the other
+    /// ports in rotated order, then the start port's bits below the start
+    /// VC, is exactly that modular scan restricted to requesters.
     fn vc_allocate(&mut self, cycle: Cycle) {
-        // Gather requests: (in_port, in_vc, out_port) for eligible unrouted heads.
-        let mut requests: Vec<(Port, usize, Port)> = Vec::new();
+        // req[out][in]: bit v set when VC v of input `in` holds an eligible
+        // unrouted head bound for `out`.
+        let mut req = [[0u64; 5]; 5];
+        let mut any = false;
         for (in_port, vcs) in self.inputs.iter() {
-            for (in_vc, vc) in vcs.iter().enumerate() {
-                if !matches!(vc.route, VcRoute::Unrouted) {
+            for iv in SetBits(self.occ[in_port]) {
+                let vc = &vcs[iv];
+                if vc.route != VcRoute::Unrouted {
                     continue;
                 }
-                let Some(front) = vc.front() else { continue };
+                let front = vc.front().expect("occupied VC has a front flit");
                 if !front.kind.is_head() || front.latched_at >= cycle {
                     continue;
                 }
-                requests.push((in_port, in_vc, front.route_port));
+                req[front.route_port.index()][in_port.index()] |= 1 << iv;
+                any = true;
             }
         }
-        // Grant per output port, rotating priority across the global input
-        // VC index so no input starves.
+        if !any {
+            return;
+        }
+        let total = self.layout.total();
+        let space = 5 * total;
         for out_port in Port::ALL {
-            let total = self.layout.total();
-            let space = 5 * total;
+            let words = &req[out_port.index()];
+            if words.iter().all(|&w| w == 0) {
+                continue;
+            }
             let start = self.va_rr[out_port] % space;
+            let (start_port, start_vc) = (start / total, start % total);
+            let (high, low) = split_at_bit(words[start_port], start_vc);
             let mut granted_any = false;
-            for off in 0..space {
-                let g = (start + off) % space;
-                let (ip_idx, iv) = (g / total, g % total);
+            for k in 0..=5 {
+                let ip_idx = (start_port + k) % 5;
+                let bits = match k {
+                    0 => high,
+                    5 => low,
+                    _ => words[ip_idx],
+                };
                 let in_port = Port::ALL[ip_idx];
-                let Some(&(rp, rv, _)) = requests
-                    .iter()
-                    .find(|&&(p, v, o)| p == in_port && v == iv && o == out_port)
-                else {
-                    continue;
-                };
-                let _ = (rp, rv);
-                // Find a free output VC of the right vnet/class.
-                let front = self.inputs[in_port][iv]
-                    .front()
-                    .expect("request implies a front flit");
-                let cand = self.layout.candidates(front.vnet, front.class);
-                let free = cand.clone().find(|&ov| !self.out_vc_busy[out_port][ov]);
-                let Some(out_vc) = free else { continue };
-                self.out_vc_busy[out_port][out_vc] = true;
-                self.inputs[in_port][iv].route = VcRoute::Routed {
-                    out_port,
-                    out_vc,
-                    va_cycle: cycle,
-                };
-                self.activity.va_grants += 1;
-                if !granted_any {
-                    // Rotate past the first winner.
-                    self.va_rr[out_port] = (g + 1) % space;
-                    granted_any = true;
+                for iv in SetBits(bits) {
+                    // Find a free output VC of the right vnet/class.
+                    let front = self.inputs[in_port][iv]
+                        .front()
+                        .expect("request implies a front flit");
+                    let cand = self.layout.candidates(front.vnet, front.class);
+                    let Some(out_vc) = cand.clone().find(|&ov| !self.out_vc_busy[out_port][ov])
+                    else {
+                        continue;
+                    };
+                    self.out_vc_busy[out_port][out_vc] = true;
+                    self.inputs[in_port][iv].route = VcRoute::Routed {
+                        out_port,
+                        out_vc,
+                        va_cycle: cycle,
+                    };
+                    self.activity.va_grants += 1;
+                    if !granted_any {
+                        // Rotate past the first winner.
+                        self.va_rr[out_port] = (ip_idx * total + iv + 1) % space;
+                        granted_any = true;
+                    }
                 }
             }
         }
     }
 
     /// Separable input-first switch allocation with speculation support.
-    fn switch_allocate(&mut self, cycle: Cycle, down_on: &PortMap<bool>) -> AllocOutcome {
-        let mut outcome = AllocOutcome::default();
+    fn switch_allocate(&mut self, cycle: Cycle, down_on: &PortMap<bool>, out: &mut AllocOutcome) {
         // Phase 0: classify each VC's front flit.
         // candidate = eligible + routed + credit + downstream on.
         // pg_blocked = eligible + routed + credit, downstream off.
@@ -314,15 +396,17 @@ impl Router {
             speculative: bool,
         }
         let mut per_input: PortMap<Option<Cand>> = PortMap::default();
-        let mut seen_blocked: Vec<PacketId> = Vec::new();
+        // This call's PG-blocked entries start here in `out.pg_blocked`.
+        let blocked_from = out.pg_blocked.len();
+        let total = self.layout.total();
         for in_port in Port::ALL {
-            let total = self.layout.total();
+            // Occupied VCs in the rotated order `(start + off) % total`.
             let start = self.sa_in_rr[in_port] % total;
+            let (high, low) = split_at_bit(self.occ[in_port], start);
             let mut best: Option<Cand> = None;
-            for off in 0..total {
-                let iv = (start + off) % total;
+            for iv in SetBits(high).chain(SetBits(low)) {
                 let vc = &self.inputs[in_port][iv];
-                let Some(front) = vc.front() else { continue };
+                let front = vc.front().expect("occupied VC has a front flit");
                 if front.latched_at >= cycle {
                     continue;
                 }
@@ -344,9 +428,11 @@ impl Router {
                 if !down_on[out_port] {
                     // Stalled purely by power-gating: report for the WU
                     // handshake and the Fig. 9/10 metrics (once per packet).
-                    if !seen_blocked.contains(&front.packet) {
-                        seen_blocked.push(front.packet);
-                        outcome.pg_blocked.push(PgBlocked {
+                    if !out.pg_blocked[blocked_from..]
+                        .iter()
+                        .any(|b| b.packet == front.packet)
+                    {
+                        out.pg_blocked.push(PgBlocked {
                             next_router_port: out_port,
                             packet: front.packet,
                         });
@@ -398,18 +484,20 @@ impl Router {
             };
             let vc = &mut self.inputs[c.in_port][c.in_vc];
             let mut flit = vc.pop().expect("winner has a front flit");
-            self.buffered -= 1;
+            if vc.is_empty() {
+                self.occ[c.in_port] &= !(1 << c.in_vc);
+            }
             if flit.kind.is_tail() {
                 vc.route = VcRoute::Unrouted;
                 self.out_vc_busy[c.out_port][out_vc] = false;
             }
             self.out_credits[c.out_port][out_vc] -= 1;
-            self.sa_in_rr[c.in_port] = (c.in_vc + 1) % self.layout.total();
+            self.sa_in_rr[c.in_port] = (c.in_vc + 1) % total;
             self.activity.buffer_reads += 1;
             self.activity.crossbar_traversals += 1;
             self.activity.sa_grants += 1;
             flit.vc = out_vc;
-            outcome.departures.push(Departure {
+            out.departures.push(Departure {
                 out_port: c.out_port,
                 in_port: c.in_port,
                 in_vc: c.in_vc,
@@ -420,15 +508,17 @@ impl Router {
             // line). `per_input` already guarantees this: one candidate per
             // input port.
         }
-        outcome
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::flit::{FlitKind, MsgClass};
-    use punchsim_types::{Direction, NocConfig, VnetId};
+    use punchsim_types::{Direction, NocConfig, SimRng, VnetId};
 
     fn mk_router() -> Router {
         let cfg = NocConfig::default();
@@ -454,6 +544,12 @@ mod tests {
         }
     }
 
+    fn alloc(r: &mut Router, cycle: Cycle, down_on: &PortMap<bool>) -> AllocOutcome {
+        let mut out = AllocOutcome::default();
+        r.allocate(cycle, down_on, &mut out);
+        out
+    }
+
     fn all_on() -> PortMap<bool> {
         PortMap::from_fn(|_| true)
     }
@@ -464,9 +560,9 @@ mod tests {
         let out = Port::Link(Direction::East);
         r.latch(Port::Local, flit(FlitKind::HeadTail, 0, out), 10);
         // Not eligible in the latch cycle.
-        assert!(r.allocate(10, &all_on()).departures.is_empty());
+        assert!(alloc(&mut r, 10, &all_on()).departures.is_empty());
         // Cycle 11: VA + speculative SA both succeed.
-        let o = r.allocate(11, &all_on());
+        let o = alloc(&mut r, 11, &all_on());
         assert_eq!(o.departures.len(), 1);
         assert_eq!(o.departures[0].out_port, out);
         assert!(r.datapath_empty());
@@ -483,8 +579,8 @@ mod tests {
         );
         let out = Port::Link(Direction::East);
         r.latch(Port::Local, flit(FlitKind::HeadTail, 0, out), 10);
-        assert!(r.allocate(11, &all_on()).departures.is_empty()); // VA only
-        let o = r.allocate(12, &all_on());
+        assert!(alloc(&mut r, 11, &all_on()).departures.is_empty()); // VA only
+        let o = alloc(&mut r, 12, &all_on());
         assert_eq!(o.departures.len(), 1);
     }
 
@@ -497,7 +593,7 @@ mod tests {
         r.latch(Port::Local, flit(FlitKind::Tail, 2, out), 12);
         let mut got = Vec::new();
         for c in 11..=14 {
-            for d in r.allocate(c, &all_on()).departures {
+            for d in alloc(&mut r, c, &all_on()).departures {
                 got.push((c, d.flit.seq));
             }
         }
@@ -512,12 +608,12 @@ mod tests {
         r.latch(Port::Local, flit(FlitKind::HeadTail, 0, out), 10);
         let mut down = all_on();
         down[out] = false;
-        let o = r.allocate(11, &down);
+        let o = alloc(&mut r, 11, &down);
         assert!(o.departures.is_empty());
         assert_eq!(o.pg_blocked.len(), 1);
         assert_eq!(o.pg_blocked[0].next_router_port, out);
         // Downstream wakes: flit proceeds.
-        let o = r.allocate(12, &all_on());
+        let o = alloc(&mut r, 12, &all_on());
         assert_eq!(o.departures.len(), 1);
     }
 
@@ -543,13 +639,13 @@ mod tests {
                 r.latch(Port::Local, flit(kinds[next], next as u16, out), c);
                 next += 1;
             }
-            sent += r.allocate(c, &all_on()).departures.len();
+            sent += alloc(&mut r, c, &all_on()).departures.len();
         }
         assert_eq!(sent, 3);
         // Return one credit; one more flit flows.
         r.credit(out, 0);
         for c in 30..33 {
-            sent += r.allocate(c, &all_on()).departures.len();
+            sent += alloc(&mut r, c, &all_on()).departures.len();
         }
         assert_eq!(sent, 4);
     }
@@ -566,9 +662,9 @@ mod tests {
         f2.vc = 1;
         r.latch(Port::Local, f1, 10);
         r.latch(Port::Link(Direction::West), f2, 10);
-        let o1 = r.allocate(11, &all_on());
+        let o1 = alloc(&mut r, 11, &all_on());
         assert_eq!(o1.departures.len(), 1);
-        let o2 = r.allocate(12, &all_on());
+        let o2 = alloc(&mut r, 12, &all_on());
         assert_eq!(o2.departures.len(), 1);
         let a = o1.departures[0].flit.packet;
         let b = o2.departures[0].flit.packet;
@@ -584,7 +680,7 @@ mod tests {
         f2.packet = PacketId(2);
         r.latch(Port::Link(Direction::West), f1, 10);
         r.latch(Port::Link(Direction::North), f2, 10);
-        let o = r.allocate(11, &all_on());
+        let o = alloc(&mut r, 11, &all_on());
         assert_eq!(o.departures.len(), 2);
     }
 
@@ -596,7 +692,7 @@ mod tests {
         f.class = MsgClass::Control;
         f.vc = 2; // control VC of vnet 0
         r.latch(Port::Local, f, 10);
-        let o = r.allocate(11, &all_on());
+        let o = alloc(&mut r, 11, &all_on());
         assert_eq!(o.departures.len(), 1);
         // Granted downstream VC must be the control VC (index 2).
         assert_eq!(o.departures[0].flit.vc, 2);
@@ -618,11 +714,181 @@ mod tests {
         r.latch(Port::Local, head_b, 10);
         let mut out_vcs = Vec::new();
         for c in 11..14 {
-            for d in r.allocate(c, &all_on()).departures {
+            for d in alloc(&mut r, c, &all_on()).departures {
                 out_vcs.push(d.flit.vc);
             }
         }
         out_vcs.sort_unstable();
         assert_eq!(out_vcs, vec![0, 1]);
+    }
+
+    /// The packet an input VC of the differential test is receiving.
+    #[derive(Clone, Copy)]
+    struct Stream {
+        packet: PacketId,
+        route_port: Port,
+        seq: u16,
+        len: u16,
+    }
+
+    /// Drives the bitmask allocator and the reference modular-scan
+    /// allocator (`reference.rs`) on clones of one router, fed the same
+    /// seeded stream of latches, credit returns and downstream power
+    /// states. Every cycle both must report the same departures and PG
+    /// blocks, and end with the same activity counters, snapshot encoding
+    /// (which covers all three round-robin pointers) and router state.
+    fn differential(layout: (u8, u8, u8), stages: u8, seed: u64, cycles: u64) {
+        let (vnets, data, ctrl) = layout;
+        let cfg = NocConfig {
+            vnets,
+            data_vcs_per_vnet: data,
+            ctrl_vcs_per_vnet: ctrl,
+            router_stages: stages,
+            ..NocConfig::default()
+        };
+        cfg.validate().unwrap();
+        let layout = VcLayout::new(&cfg);
+        let total = layout.total();
+        let mut rng = SimRng::seed_from_u64(seed);
+        let has_neighbor = PortMap::from_fn(|p| p == Port::Local || rng.random_bool_ppm(800_000));
+        let outputs: Vec<Port> = Port::ALL.into_iter().filter(|&p| has_neighbor[p]).collect();
+        let mut fast = Router::new(NodeId(0), layout, stages, has_neighbor);
+        let mut refr = fast.clone();
+        let mut streams: PortMap<Vec<Option<Stream>>> = PortMap::from_fn(|_| vec![None; total]);
+        // Link credits consumed by departures and not yet returned.
+        let mut owed: PortMap<Vec<u32>> = PortMap::from_fn(|_| vec![0; total]);
+        let mut down_on = PortMap::from_fn(|_| true);
+        let mut out = AllocOutcome::default();
+        let (mut fast_bytes, mut ref_bytes) = (Vec::new(), Vec::new());
+        let (mut departed, mut blocked) = (0u64, 0u64);
+        for cycle in 1..=cycles {
+            // Downstream routers sleep and wake now and then, so PG stalls
+            // last several cycles.
+            for p in Port::ALL {
+                if p != Port::Local && rng.random_bool_ppm(100_000) {
+                    down_on[p] = !down_on[p];
+                }
+            }
+            // BW: at most one flit per input port, into a VC with room.
+            for p in Port::ALL {
+                if !rng.random_bool_ppm(700_000) {
+                    continue;
+                }
+                let v = rng.random_range(0..total);
+                if fast.inputs[p][v].len() == fast.inputs[p][v].depth() {
+                    continue;
+                }
+                let s = streams[p][v].get_or_insert_with(|| Stream {
+                    // A small id space makes two VCs occasionally front the
+                    // same packet id, which exercises the PG-block dedup.
+                    packet: PacketId(rng.random_range(0..24u64)),
+                    route_port: outputs[rng.random_range(0..outputs.len())],
+                    seq: 0,
+                    len: match layout.class(v) {
+                        MsgClass::Control => 1,
+                        MsgClass::Data => rng.random_range(1..6u16),
+                    },
+                });
+                let kind = match (s.seq, s.len) {
+                    (_, 1) => FlitKind::HeadTail,
+                    (0, _) => FlitKind::Head,
+                    (q, l) if q + 1 == l => FlitKind::Tail,
+                    _ => FlitKind::Body,
+                };
+                let f = Flit {
+                    packet: s.packet,
+                    kind,
+                    vnet: layout.vnet(v),
+                    class: layout.class(v),
+                    dst: NodeId(9),
+                    route_port: s.route_port,
+                    vc: v,
+                    seq: s.seq,
+                    latched_at: 0,
+                };
+                s.seq += 1;
+                if s.seq == s.len {
+                    streams[p][v] = None;
+                }
+                fast.latch(p, f.clone(), cycle);
+                refr.latch(p, f, cycle);
+            }
+            for p in outputs.iter().copied().filter(|&p| p != Port::Local) {
+                for v in 0..total {
+                    if owed[p][v] > 0 && rng.random_bool_ppm(300_000) {
+                        owed[p][v] -= 1;
+                        fast.credit(p, v);
+                        refr.credit(p, v);
+                    }
+                }
+            }
+            out.clear();
+            fast.allocate(cycle, &down_on, &mut out);
+            let reference = refr.reference_allocate(cycle, &down_on);
+            assert_eq!(out.departures, reference.departures, "cycle {cycle}");
+            assert_eq!(out.pg_blocked, reference.pg_blocked, "cycle {cycle}");
+            assert_eq!(fast.activity, refr.activity, "cycle {cycle}");
+            fast_bytes.clear();
+            ref_bytes.clear();
+            fast.encode_state(&mut fast_bytes);
+            refr.encode_state(&mut ref_bytes);
+            assert_eq!(fast_bytes, ref_bytes, "cycle {cycle}");
+            // What the encoding leaves out: VA cycles, ejection credits and
+            // the occupied-VC mask.
+            for p in Port::ALL {
+                let routes = |r: &Router| r.inputs[p].iter().map(|vc| vc.route).collect::<Vec<_>>();
+                assert_eq!(routes(&fast), routes(&refr), "cycle {cycle}");
+            }
+            assert_eq!(fast.out_credits[Port::Local], refr.out_credits[Port::Local]);
+            assert_eq!(fast.occ, refr.occ, "cycle {cycle}");
+            for d in &out.departures {
+                if d.out_port != Port::Local {
+                    owed[d.out_port][d.flit.vc] += 1;
+                }
+            }
+            departed += out.departures.len() as u64;
+            blocked += out.pg_blocked.len() as u64;
+        }
+        // The stream must actually load both allocators.
+        assert!(departed > cycles / 4, "{layout:?}: {departed} departures");
+        assert!(blocked > 0, "{layout:?}: no PG blocks");
+    }
+
+    #[test]
+    fn bitmask_allocator_matches_reference() {
+        // Default 3 x (2 + 1), 1 vnet x 1 VC, 4 x (3 + 1), and 4 x (15 + 1)
+        // = 64 VCs per port, the mask's bound (its va_rr needs two bytes).
+        for layout in [(3, 2, 1), (1, 1, 0), (4, 3, 1), (4, 15, 1)] {
+            for stages in [3, 4] {
+                for seed in 0..3 {
+                    differential(layout, stages, 0x5eed_0000 + seed, 1500);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn va_pointer_encoding_is_lossless_at_the_bound() {
+        let cfg = NocConfig {
+            vnets: 4,
+            data_vcs_per_vnet: 15,
+            ctrl_vcs_per_vnet: 1,
+            ..NocConfig::default()
+        };
+        let r = Router::new(
+            NodeId(0),
+            VcLayout::new(&cfg),
+            3,
+            PortMap::from_fn(|_| true),
+        );
+        let mut a = r.clone();
+        let mut b = r;
+        // 300 and 44 are equal modulo 256.
+        a.va_rr[Port::Link(Direction::East)] = 300;
+        b.va_rr[Port::Link(Direction::East)] = 44;
+        let (mut ea, mut eb) = (Vec::new(), Vec::new());
+        a.encode_state(&mut ea);
+        b.encode_state(&mut eb);
+        assert_ne!(ea, eb);
     }
 }

@@ -326,6 +326,15 @@ pub(crate) struct InjectRes {
     pub pending_after: bool,
 }
 
+/// One router's slice of [`ShardBuf::alloc_out`]: its entries end at these
+/// indices and start where the previous span's end.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AllocSpan {
+    pub router: usize,
+    pub departures_end: usize,
+    pub blocked_end: usize,
+}
+
 /// Everything one shard's phase A produced, applied serially by the commit
 /// phase in shard (= router-index) order.
 #[derive(Debug, Default)]
@@ -344,8 +353,11 @@ pub(crate) struct ShardBuf {
     pub credit_clear: Vec<usize>,
     /// Credits popped inside the shard (decrements `credits_in_flight`).
     pub credits_delivered: u64,
-    /// Allocation outcomes with at least one departure or PG block.
-    pub alloc: Vec<(usize, AllocOutcome)>,
+    /// Every allocation outcome of the shard, appended in router order.
+    pub alloc_out: AllocOutcome,
+    /// Routers with at least one departure or PG block, with the ends of
+    /// their entries in `alloc_out`.
+    pub alloc: Vec<AllocSpan>,
     /// Routers left with an empty datapath after allocation.
     pub alloc_empty: Vec<usize>,
     /// Scratch for the merged (occ-bits + newly-occupied) allocation list.
@@ -368,6 +380,7 @@ impl ShardBuf {
         self.flit_clear.clear();
         self.credit_clear.clear();
         self.credits_delivered = 0;
+        self.alloc_out.clear();
         self.alloc.clear();
         self.alloc_empty.clear();
         self.alloc_list.clear();
@@ -561,9 +574,16 @@ pub(crate) fn shard_phase_a<A: Avail>(
                 .neighbor(here, d)
                 .is_some_and(|n| avail.downstream_on(n)),
         });
-        let outcome = sv.routers[li].allocate(now, &down_on);
-        if !outcome.departures.is_empty() || !outcome.pg_blocked.is_empty() {
-            buf.alloc.push((idx, outcome));
+        let out = &mut buf.alloc_out;
+        let before = (out.departures.len(), out.pg_blocked.len());
+        sv.routers[li].allocate(now, &down_on, out);
+        let span = AllocSpan {
+            router: idx,
+            departures_end: out.departures.len(),
+            blocked_end: out.pg_blocked.len(),
+        };
+        if (span.departures_end, span.blocked_end) != before {
+            buf.alloc.push(span);
         }
         if sv.routers[li].datapath_empty() {
             buf.alloc_empty.push(idx);

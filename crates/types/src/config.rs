@@ -252,6 +252,10 @@ impl std::fmt::Display for SchemeKind {
     }
 }
 
+/// Most VCs one router input port may have: the router allocators keep one
+/// occupied-VC bitmask word per input port.
+pub const MAX_VCS_PER_PORT: usize = 64;
+
 /// Router microarchitecture and network parameters (Table 2).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NocConfig {
@@ -315,12 +319,12 @@ impl Default for NocConfig {
 impl NocConfig {
     /// Total VCs per input port (all vnets, data + control).
     pub fn vcs_per_port(&self) -> usize {
-        self.vnets as usize * (self.data_vcs_per_vnet + self.ctrl_vcs_per_vnet) as usize
+        self.vnets as usize * self.vcs_per_vnet()
     }
 
     /// VCs per vnet (data + control).
     pub fn vcs_per_vnet(&self) -> usize {
-        (self.data_vcs_per_vnet + self.ctrl_vcs_per_vnet) as usize
+        self.data_vcs_per_vnet as usize + self.ctrl_vcs_per_vnet as usize
     }
 
     /// Zero-load per-hop latency in cycles (router pipeline + link).
@@ -344,6 +348,12 @@ impl NocConfig {
         }
         if self.data_vcs_per_vnet == 0 && self.ctrl_vcs_per_vnet == 0 {
             return Err(ConfigError::NoVcs);
+        }
+        if self.vcs_per_port() > MAX_VCS_PER_PORT {
+            return Err(ConfigError::TooManyVcs {
+                per_port: self.vcs_per_port(),
+                max: MAX_VCS_PER_PORT,
+            });
         }
         if !(3..=4).contains(&self.router_stages) {
             return Err(ConfigError::BadRouterStages(self.router_stages));
@@ -698,6 +708,31 @@ mod tests {
             ..NocConfig::default()
         };
         assert_eq!(c.validate(), Err(ConfigError::NoVnets));
+        // 4 vnets x (15 + 1) = 64 VCs fill the per-port mask exactly; one
+        // more data VC per vnet overflows it.
+        let mut c = NocConfig {
+            vnets: 4,
+            data_vcs_per_vnet: 15,
+            ctrl_vcs_per_vnet: 1,
+            ..NocConfig::default()
+        };
+        c.validate().unwrap();
+        c.data_vcs_per_vnet = 16;
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::TooManyVcs {
+                per_port: 68,
+                max: MAX_VCS_PER_PORT
+            })
+        );
+        // Sums past u8 range are counted, not wrapped.
+        c.data_vcs_per_vnet = 255;
+        c.ctrl_vcs_per_vnet = 255;
+        assert_eq!(c.vcs_per_port(), 4 * 510);
+        assert!(matches!(
+            c.validate(),
+            Err(ConfigError::TooManyVcs { per_port: 2040, .. })
+        ));
         let p = PowerConfig {
             wakeup_latency: 0,
             ..PowerConfig::default()

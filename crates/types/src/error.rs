@@ -24,6 +24,13 @@ pub enum ConfigError {
     NoVnets,
     /// A vnet had neither data nor control VCs.
     NoVcs,
+    /// More VCs per input port than the router's occupied-VC mask holds.
+    TooManyVcs {
+        /// VCs per input port the configuration asks for.
+        per_port: usize,
+        /// The supported maximum ([`crate::MAX_VCS_PER_PORT`]).
+        max: usize,
+    },
     /// `router_stages` outside the modeled 3..=4 range.
     BadRouterStages(u8),
     /// `link_latency` must be at least one cycle.
@@ -90,6 +97,12 @@ impl std::fmt::Display for ConfigError {
         match self {
             ConfigError::NoVnets => write!(f, "at least one virtual network is required"),
             ConfigError::NoVcs => write!(f, "each vnet needs at least one VC"),
+            ConfigError::TooManyVcs { per_port, max } => {
+                write!(
+                    f,
+                    "{per_port} VCs per input port exceed the maximum of {max}"
+                )
+            }
             ConfigError::BadRouterStages(s) => {
                 write!(f, "router_stages must be 3 or 4, got {s}")
             }

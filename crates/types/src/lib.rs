@@ -29,7 +29,7 @@ pub mod topology;
 pub use choice::FaultChoice;
 pub use config::{
     FaultConfig, NocConfig, PowerConfig, SchemeKind, SchemeMeta, SchemePowerProfile, SimConfig,
-    StuckEpoch, TraceConfig, WatchdogConfig,
+    StuckEpoch, TraceConfig, WatchdogConfig, MAX_VCS_PER_PORT,
 };
 pub use direction::{Direction, Port, PortMap};
 pub use error::{BlockedPacket, ConfigError, InvariantViolation, SimError, StallReport};
