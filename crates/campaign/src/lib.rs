@@ -233,9 +233,10 @@ pub fn busy_cycles() -> u64 {
 /// latency, so the network never goes quiescent — yet only a sparse
 /// minority of routers is busy on any given cycle, which is exactly the
 /// coherence-traffic shape the SoA word sweep exists for. CI's
-/// `soa_gate.sh` runs this suite under the SoA and struct kernels
-/// (byte-identical artifacts, ≥1.5x speed), and `shard_gate.sh` reruns
-/// it across `--shards` counts (byte-identical artifacts again).
+/// `fastpath_gate.sh busy` runs this suite on the fast path and under
+/// `--naive-tick` (byte-identical artifacts, ≥1.5x speed), and
+/// `shard_gate.sh` reruns it across `--shards` counts (byte-identical
+/// artifacts again).
 pub fn busy_suite(seed: u64) -> Vec<RunSpec> {
     let measure = busy_cycles();
     let mut specs = Vec::new();
@@ -263,12 +264,12 @@ pub fn busy_suite(seed: u64) -> Vec<RunSpec> {
 }
 
 /// The persistent-pool perf-gate suite: a single PowerPunchFull 32x32 run
-/// under the busy-regime load, the spec `shard_gate.sh` times at
-/// `--shards 4` pooled vs per-tick spawn (`PP_SPAWN_TICK=1`) and holds to
-/// a ≥1.3x cycles/sec ratio. Kept to one spec so the gate's wall-clock
-/// ratio is a clean per-run measurement instead of an average across
-/// meshes and schemes (the byte-identity half of the gate still runs the
-/// full [`busy_suite`]).
+/// under the busy-regime load, the spec `shard_gate.sh` runs pooled at
+/// `--shards 4` against `--naive-tick` (byte-identical artifacts) and
+/// reads the pool's thread accounting from. Kept to one spec so that
+/// accounting is per run instead of summed across meshes and schemes
+/// (the shard-count half of the gate still runs the full
+/// [`busy_suite`]).
 pub fn pool_suite(seed: u64) -> Vec<RunSpec> {
     let measure = busy_cycles();
     vec![RunSpec {

@@ -49,13 +49,12 @@ pub struct RunRecord {
     /// never the deterministic artifact).
     pub registry: Option<Box<Registry>>,
     /// Shard worker threads the run created (0 for cache hits; at most
-    /// `shards - 1` under the persistent pool, per-tick only under
-    /// `PP_SPAWN_TICK=1`).
+    /// `shards - 1` over the persistent pool's lifetime).
     pub spawn_count: u64,
     /// Wall-clock nanoseconds spent creating those threads.
     pub spawn_nanos: u64,
     /// Sharded ticks executed through the persistent worker pool (0 for
-    /// cache hits and spawn-per-tick runs).
+    /// cache hits and reference runs).
     pub pool_ticks: u64,
     /// Host nanoseconds blocked at the pool's completion barrier (0 for
     /// cache hits).

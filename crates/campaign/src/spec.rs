@@ -426,17 +426,15 @@ pub struct Observed {
     /// Metric registry (`None` unless `metrics` was requested).
     pub registry: Option<Box<Registry>>,
     /// Shard worker threads created across the run (0 when phase A never
-    /// took the sharded path). Under the default persistent pool this
-    /// counts pool creations — at most `shards - 1` per pool lifetime,
-    /// and 0 in the measured window when the pool came up during warm-up;
-    /// under `PP_SPAWN_TICK=1` it reverts to per-tick spawns. Always
-    /// collected — it is a single counter read — so the timing sidecar
-    /// can report thread overhead per run.
+    /// took the sharded path): pool creations, at most `shards - 1` per
+    /// pool lifetime, and 0 in the measured window when the pool came up
+    /// during warm-up. Always collected — it is a single counter read —
+    /// so the timing sidecar can report thread overhead per run.
     pub spawn_count: u64,
     /// Wall-clock nanoseconds spent creating those threads.
     pub spawn_nanos: u64,
-    /// Sharded ticks executed through the persistent worker pool (0 in
-    /// spawn-per-tick mode or when never sharded).
+    /// Sharded ticks executed through the persistent worker pool (0 on
+    /// the reference or when never sharded).
     pub pool_ticks: u64,
     /// Wall-clock nanoseconds the host thread spent blocked at the pool's
     /// completion barrier after finishing its own shard — cross-shard

@@ -45,14 +45,12 @@ pub mod router;
 pub mod snapshot;
 pub mod soa;
 pub mod stats;
-pub mod trace;
 pub mod vc;
 
 pub use flit::{Flit, FlitKind, Message, MsgClass, PacketMeta};
-pub use network::{Network, ShardExec, TickMode};
+pub use network::{Network, TickMode};
 pub use power::{AlwaysOn, IdleInfo, PgCounters, PmEvent, PowerManager, PowerState};
 pub use router::{Router, RouterActivity};
-pub use soa::{BitWords, BusyKernel};
+pub use soa::BitWords;
 pub use stats::{NetStats, NetworkReport};
-pub use trace::{PacketRecord, TraceLog};
 pub use vc::VcLayout;

@@ -10,7 +10,6 @@
 //! argument.
 
 use std::collections::HashMap;
-use std::time::Instant;
 
 use punchsim_metrics::{Phase, PhaseProfiler, Registry};
 use punchsim_obs::{self as obs, Event, EventSink, PowerTag};
@@ -25,28 +24,31 @@ use crate::ni::Ni;
 use crate::pool::{Job, ShardPool};
 use crate::power::{IdleInfo, PmEvent, PowerManager, PowerState};
 use crate::router::{AllocOutcome, Router, RouterActivity};
-use crate::soa::{self, BusyKernel, FlatAvail, PmAvail, ShardBuf, ShardView, SoaState, TickCtx};
+use crate::soa::{self, FlatAvail, PmAvail, ShardBuf, ShardView, SoaState, TickCtx};
 use crate::stats::{NetStats, NetworkReport};
-use crate::trace::{PacketRecord, TraceLog};
 use crate::vc::VcLayout;
 
-/// How [`Network::run`] / [`Network::run_hooked`] advance the clock.
+/// The fast path or the executable reference it is checked against.
 ///
 /// Both modes are observationally identical — pinned by the differential
-/// oracle in `tests/differential.rs` and by the CI no-drift gate running the
-/// benchmark campaign in both modes and comparing artifacts byte for byte.
+/// oracles in `tests/differential.rs`, `tests/soa_differential.rs` and
+/// `tests/shard_pool_determinism.rs`, and by the CI gates that run
+/// campaigns in both modes and compare artifacts byte for byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TickMode {
-    /// Quiescence fast-forward enabled (the default): when nothing can
-    /// change network state before new host input, `run` advances the clock
-    /// to the end of the requested span (or the next hook boundary) in one
-    /// bulk [`PowerManager::tick_quiet`] call instead of O(routers) work
-    /// per cycle.
+    /// The fast path (the default). Busy cycles run the SoA word sweep
+    /// (see [`crate::soa`]), split into `shards` row bands on the
+    /// persistent worker pool. When nothing can change network state
+    /// before new host input, `run` advances the clock to the end of the
+    /// requested span (or the next hook boundary) in one bulk
+    /// [`PowerManager::tick_quiet`] call instead of O(routers) work per
+    /// cycle.
     #[default]
     Fast,
-    /// The reference kernel: strictly one [`Network::tick`] per cycle.
-    /// Selected by `PP_NAIVE_TICK=1` at construction, or
-    /// [`Network::set_tick_mode`].
+    /// The reference: strictly one [`Network::tick`] per cycle, each one
+    /// an object-at-a-time sweep over every router, NI and pipe struct,
+    /// on the calling thread (the shard count is ignored). Selected by
+    /// `PP_NAIVE_TICK=1` at construction, or [`Network::set_tick_mode`].
     Naive,
 }
 
@@ -58,39 +60,6 @@ impl TickMode {
         match std::env::var("PP_NAIVE_TICK") {
             Ok(v) if v == "1" => TickMode::Naive,
             _ => TickMode::Fast,
-        }
-    }
-}
-
-/// How the sharded SoA tick executes phase A when `shards > 1`.
-///
-/// Both modes are observationally identical — the shard pool reuses the
-/// exact record-then-commit protocol, only the thread lifecycle differs —
-/// pinned end to end by `tests/shard_pool_determinism.rs` and by the CI
-/// `shard_gate.sh` artifact diff.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardExec {
-    /// Persistent worker pool (the default): shard threads are created
-    /// lazily on the first sharded tick, parked on a condvar epoch
-    /// barrier between ticks, resized on [`Network::set_shards`], and
-    /// joined on drop. Amortizes the ~6 μs/spawn per-tick cost measured
-    /// in PR 7's timing sidecars.
-    #[default]
-    Pool,
-    /// The reference lifecycle: `std::thread::scope` spawns fresh shard
-    /// threads every tick. Selected by `PP_SPAWN_TICK=1` at
-    /// construction, or [`Network::set_shard_exec`].
-    Spawn,
-}
-
-impl ShardExec {
-    /// Resolves the mode from the `PP_SPAWN_TICK` environment variable:
-    /// `1` selects [`ShardExec::Spawn`], anything else (or unset)
-    /// selects [`ShardExec::Pool`].
-    pub fn from_env() -> Self {
-        match std::env::var("PP_SPAWN_TICK") {
-            Ok(v) if v == "1" => ShardExec::Spawn,
-            _ => ShardExec::Pool,
         }
     }
 }
@@ -182,7 +151,6 @@ pub struct Network {
     ni_flits: u64,
     injected_flits: u64,
     measure_start: Cycle,
-    trace: Option<TraceLog>,
     /// Structured event sink (`None` = tracing disabled: the only cost on
     /// hot paths is this branch).
     sink: Option<Box<dyn EventSink>>,
@@ -208,23 +176,22 @@ pub struct Network {
     blocked_streak: Vec<Cycle>,
     /// First invariant violation observed (latched; tick keeps failing).
     violation: Option<InvariantViolation>,
-    /// Clock-advance strategy for `run`/`run_hooked`.
+    /// Fast path or reference: selects both the busy-cycle kernel of
+    /// `tick` and whether `run`/`run_hooked` may fast-forward.
     tick_mode: TickMode,
-    /// Busy-cycle kernel for `tick`: the SoA word sweep (default) or the
-    /// object-at-a-time struct reference.
-    busy_kernel: BusyKernel,
-    /// Row-band shard count for the SoA kernel (1 = no threading).
+    /// Row-band shard count for the SoA kernel (1 = no threading; the
+    /// reference ignores it).
     shards: usize,
     /// Flat per-mesh bitset index over the router/NI structs (see
     /// [`crate::soa`]).
     soa: SoaState,
-    /// The struct-path kernel does not maintain the SoA bits; after it has
-    /// run, the next SoA tick rebuilds them from the structs.
+    /// The reference kernel does not maintain the SoA bits; after it has
+    /// run, the next fast tick rebuilds them from the structs.
     soa_dirty: bool,
     /// Per-shard phase-A outcome buffers (reused; steady-state ticks
     /// allocate nothing).
     shard_bufs: Vec<ShardBuf>,
-    /// Reusable allocation outcome for the struct kernel (the SoA kernel
+    /// Reusable allocation outcome for the reference kernel (the SoA kernel
     /// keeps one per shard in its `ShardBuf`).
     alloc_scratch: AllocOutcome,
     /// Reusable per-tick idleness scratch (steady-state tick allocates
@@ -240,19 +207,15 @@ pub struct Network {
     /// boundary). Wall-clock data never feeds back into simulation state
     /// and is exported only toward the nondeterministic timing sidecar.
     profiler: Option<PhaseProfiler>,
-    /// Shard threads created since the last stats reset: per-tick scoped
-    /// spawns under [`ShardExec::Spawn`], pool thread creations under
-    /// [`ShardExec::Pool`] (at most `shards - 1` per pool lifetime — the
-    /// amortization the pool exists for).
+    /// Pool worker threads created since the last stats reset (at most
+    /// `shards - 1` per pool lifetime — the amortization the pool exists
+    /// for).
     spawn_count: u64,
     /// Wall nanoseconds spent issuing those spawns.
     spawn_nanos: u64,
-    /// Phase-A thread lifecycle under `shards > 1` (pool vs per-tick
-    /// spawn; an execution detail like the shard count itself).
-    shard_exec: ShardExec,
     /// The persistent shard worker pool, created lazily on the first
-    /// pooled sharded tick; `None` under `ShardExec::Spawn`, for
-    /// `shards == 1`, or before that first tick.
+    /// sharded tick; `None` for `shards == 1`, before that first tick, or
+    /// while pool creation fails.
     pool: Option<ShardPool>,
     /// Sharded ticks dispatched through the pool since the last stats
     /// reset.
@@ -330,7 +293,6 @@ impl Network {
             ni_flits: 0,
             injected_flits: 0,
             measure_start: 0,
-            trace: None,
             sink: None,
             power_shadow: Vec::new(),
             off_since: Vec::new(),
@@ -343,7 +305,6 @@ impl Network {
             blocked_streak: vec![0; n],
             violation: None,
             tick_mode: TickMode::from_env(),
-            busy_kernel: BusyKernel::from_env(),
             shards,
             soa: SoaState::new(n),
             soa_dirty: false,
@@ -355,7 +316,6 @@ impl Network {
             profiler: None,
             spawn_count: 0,
             spawn_nanos: 0,
-            shard_exec: ShardExec::from_env(),
             pool: None,
             pool_ticks: 0,
             pool_wait_nanos: 0,
@@ -408,48 +368,24 @@ impl Network {
         self.shards
     }
 
-    /// Selects the phase-A thread lifecycle for sharded ticks (overrides
-    /// the `PP_SPAWN_TICK` environment resolution done at construction).
-    /// Switching to [`ShardExec::Spawn`] joins any live pool workers.
-    pub fn set_shard_exec(&mut self, exec: ShardExec) {
-        self.shard_exec = exec;
-        if exec == ShardExec::Spawn {
-            self.pool = None;
-        }
-    }
-
-    /// The active phase-A thread lifecycle.
-    pub fn shard_exec(&self) -> ShardExec {
-        self.shard_exec
-    }
-
     /// Test hook: the next pooled sharded tick runs a panicking job in
     /// its last worker, exercising the pool's typed-error path
     /// ([`punchsim_types::SimError::ShardPanic`] instead of a hang). Only
-    /// meaningful while `shards > 1` under [`ShardExec::Pool`].
+    /// meaningful while `shards > 1` in [`TickMode::Fast`].
     #[doc(hidden)]
     pub fn debug_panic_next_pooled_tick(&mut self) {
         self.panic_next_shard = true;
     }
 
-    /// Selects the busy-cycle kernel (overrides the `PP_STRUCT_TICK`
-    /// environment resolution done at construction).
-    pub fn set_busy_kernel(&mut self, kernel: BusyKernel) {
-        self.busy_kernel = kernel;
-    }
-
-    /// The active busy-cycle kernel.
-    pub fn busy_kernel(&self) -> BusyKernel {
-        self.busy_kernel
-    }
-
-    /// Selects how `run`/`run_hooked` advance the clock (overrides the
+    /// Selects the fast path or the reference (overrides the
     /// `PP_NAIVE_TICK` environment resolution done at construction).
+    /// Switching is seamless at any cycle: the first fast tick after
+    /// reference ticks rebuilds the SoA bit index from the structs.
     pub fn set_tick_mode(&mut self, mode: TickMode) {
         self.tick_mode = mode;
     }
 
-    /// The active clock-advance strategy.
+    /// The active tick mode.
     pub fn tick_mode(&self) -> TickMode {
         self.tick_mode
     }
@@ -462,22 +398,6 @@ impl Network {
     /// The active watchdog configuration.
     pub fn watchdog(&self) -> &WatchdogConfig {
         &self.cfg.watchdog
-    }
-
-    /// Starts recording per-packet completion records (up to `capacity`);
-    /// read them back with [`Network::trace`] or [`Network::take_trace`].
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(TraceLog::new(capacity));
-    }
-
-    /// The packet trace recorded so far, if tracing is enabled.
-    pub fn trace(&self) -> Option<&TraceLog> {
-        self.trace.as_ref()
-    }
-
-    /// Takes the trace, disabling further recording.
-    pub fn take_trace(&mut self) -> Option<TraceLog> {
-        self.trace.take()
     }
 
     /// Attaches a structured event sink: from the next tick on, power-state
@@ -547,13 +467,10 @@ impl Network {
     }
 
     /// Shard-thread creation overhead since the last stats reset:
-    /// `(spawn_count, spawn_nanos)` — threads created for the sharded SoA
-    /// phase A and the wall time spent issuing those creations. Under
-    /// [`ShardExec::Spawn`] this grows by `shards - 1` every sharded tick
-    /// (the PR 7 baseline); under [`ShardExec::Pool`] it counts pool
-    /// thread creations only, so it stays `<= shards - 1` per pool
-    /// lifetime no matter how many ticks run. `(0, 0)` while
-    /// `shards == 1`.
+    /// `(spawn_count, spawn_nanos)` — pool worker threads created for the
+    /// sharded SoA phase A and the wall time spent issuing those
+    /// creations. It stays `<= shards - 1` per pool lifetime no matter
+    /// how many ticks run. `(0, 0)` while `shards == 1`.
     pub fn spawn_stats(&self) -> (u64, u64) {
         (self.spawn_count, self.spawn_nanos)
     }
@@ -562,7 +479,7 @@ impl Network {
     /// `(pool_ticks, pool_wait_nanos)` — sharded ticks dispatched through
     /// the persistent worker pool, and the wall time the host thread
     /// spent blocked at the completion barrier after finishing its own
-    /// shard. `(0, 0)` under [`ShardExec::Spawn`] or while `shards == 1`.
+    /// shard. `(0, 0)` while `shards == 1` or in [`TickMode::Naive`].
     pub fn pool_stats(&self) -> (u64, u64) {
         (self.pool_ticks, self.pool_wait_nanos)
     }
@@ -782,7 +699,6 @@ impl Network {
             ni_flits: self.ni_flits,
             injected_flits: self.injected_flits,
             measure_start: self.measure_start,
-            trace: self.trace.clone(),
             sink: None,
             power_shadow: self.power_shadow.clone(),
             off_since: self.off_since.clone(),
@@ -795,7 +711,6 @@ impl Network {
             blocked_streak: self.blocked_streak.clone(),
             violation: self.violation.clone(),
             tick_mode: self.tick_mode,
-            busy_kernel: self.busy_kernel,
             shards: self.shards,
             soa: self.soa.clone(),
             soa_dirty: self.soa_dirty,
@@ -809,7 +724,6 @@ impl Network {
             profiler: None,
             spawn_count: 0,
             spawn_nanos: 0,
-            shard_exec: self.shard_exec,
             // Worker threads are per-instance; the clone builds its own
             // pool lazily if it ever runs a pooled sharded tick.
             pool: None,
@@ -959,9 +873,9 @@ impl Network {
     /// returning it. A stall re-arms, so a caller that intentionally keeps
     /// ticking past it will get a fresh report each threshold window.
     pub fn tick(&mut self) -> Result<(), SimError> {
-        match self.busy_kernel {
-            BusyKernel::Soa => self.tick_soa(),
-            BusyKernel::Struct => self.tick_struct(),
+        match self.tick_mode {
+            TickMode::Fast => self.tick_soa(),
+            TickMode::Naive => self.tick_struct(),
         }
     }
 
@@ -1029,7 +943,7 @@ impl Network {
     }
 
     /// Recomputes every SoA bit from the authoritative structs (after the
-    /// struct kernel has run, or a kernel switch).
+    /// reference kernel has run).
     fn rebuild_soa(&mut self) {
         let n = self.routers.len();
         self.soa.occ.clear_all();
@@ -1067,12 +981,13 @@ impl Network {
 
     /// Runs phase A over all shards: inline for one shard (power-manager
     /// queries go straight to the boxed manager), on the persistent
-    /// worker pool — or per-tick scoped threads under
-    /// [`ShardExec::Spawn`] — for more (availability is precomputed into
-    /// flat arrays first; the manager is host-thread-only).
+    /// worker pool for more (availability is precomputed into flat arrays
+    /// first; the manager is host-thread-only). If the pool cannot be
+    /// created, every shard runs serially on the host thread: phase A
+    /// touches only shard-owned state, so that is bit-exact too.
     ///
     /// Returns the wall nanoseconds the host spent blocked at the pool's
-    /// completion barrier this tick (0 for inline and spawn execution),
+    /// completion barrier this tick (0 for inline execution),
     /// so the tick loop can reattribute that wait to [`Phase::PoolWait`].
     ///
     /// # Errors
@@ -1093,9 +1008,7 @@ impl Network {
         if shards > 1 {
             let Network { pm, soa, .. } = self;
             soa.fill_avail(pm.as_ref(), now + 2 + link, now + 1 + link);
-            if self.shard_exec == ShardExec::Pool {
-                self.ensure_pool(shards - 1);
-            }
+            self.ensure_pool(shards - 1);
         }
         let inject_panic = std::mem::take(&mut self.panic_next_shard);
         let Network {
@@ -1199,39 +1112,16 @@ impl Network {
             self.pool_wait_nanos += wait;
             return Ok(wait);
         }
-        // Reference lifecycle (`ShardExec::Spawn`, or pool creation
-        // failed): fresh scoped threads every tick. Spawn-issue overhead
-        // is measured unconditionally (two timestamps per sharded tick):
-        // it is the baseline the pool is gated against, reported via the
-        // timing sidecar.
-        let mut spawn_ns = 0u64;
-        std::thread::scope(|scope| {
-            let ctx = &ctx;
-            let avail = &avail;
-            let mut bufs = shard_bufs.iter_mut();
-            let mut shard0 = None;
-            let t0 = Instant::now();
-            for (i, mut sv) in views.into_iter().enumerate() {
-                let buf = bufs.next().expect("one buffer per shard");
-                if i == 0 {
-                    // The calling thread runs shard 0 itself.
-                    shard0 = Some((sv, buf));
-                } else {
-                    scope.spawn(move || soa::shard_phase_a(&mut sv, ctx, avail, buf));
-                }
-            }
-            spawn_ns = t0.elapsed().as_nanos() as u64;
-            let (mut sv, buf) = shard0.expect("at least one shard");
-            soa::shard_phase_a(&mut sv, ctx, avail, buf);
-        });
-        self.spawn_count += shards as u64 - 1;
-        self.spawn_nanos += spawn_ns;
+        // Pool creation failed: run every shard on this thread.
+        for (mut sv, buf) in views.into_iter().zip(shard_bufs.iter_mut()) {
+            soa::shard_phase_a(&mut sv, &ctx, &avail, buf);
+        }
         Ok(0)
     }
 
     /// Creates (or re-creates) the persistent pool for `workers` shard
-    /// threads. A creation failure is not fatal: the tick falls back to
-    /// per-tick scoped spawns and retries pool creation next tick.
+    /// threads. A creation failure is not fatal: the tick runs its shards
+    /// serially and retries pool creation next tick.
     fn ensure_pool(&mut self, workers: usize) {
         if self.pool.as_ref().is_some_and(|p| p.workers() == workers) {
             return;
@@ -1384,9 +1274,6 @@ impl Network {
                 self.conserv_delivered += meta.len_flits as u64;
                 self.conserv_in_flight =
                     self.conserv_in_flight.saturating_sub(meta.len_flits as u64);
-                if let Some(t) = self.trace.as_mut() {
-                    t.push(PacketRecord::from_meta(done, &meta, now));
-                }
                 if meta.measured {
                     self.stats.packets_delivered += 1;
                     self.stats.flits_delivered += meta.len_flits as u64;
@@ -1831,9 +1718,6 @@ impl Network {
                     self.conserv_delivered += meta.len_flits as u64;
                     self.conserv_in_flight =
                         self.conserv_in_flight.saturating_sub(meta.len_flits as u64);
-                    if let Some(t) = self.trace.as_mut() {
-                        t.push(PacketRecord::from_meta(done, &meta, now));
-                    }
                     if meta.measured {
                         self.stats.packets_delivered += 1;
                         self.stats.flits_delivered += meta.len_flits as u64;

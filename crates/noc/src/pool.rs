@@ -100,7 +100,7 @@ impl ShardPool {
     /// Spawns `workers` parked threads. Returns the pool and the wall
     /// nanoseconds spent issuing the spawns (the one-off cost the pool
     /// amortizes over every later tick), or the OS error if a thread
-    /// could not be created — the caller falls back to per-tick spawns.
+    /// could not be created — the caller then runs every shard serially.
     pub fn new(workers: usize) -> std::io::Result<(Self, u64)> {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {

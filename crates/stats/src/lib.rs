@@ -2,7 +2,8 @@
 //!
 //! The figure harnesses in `punchsim-bench` print each paper table/figure as
 //! an aligned text table or CSV; the building blocks live here so library
-//! users can collect the same statistics programmatically.
+//! users can collect the same statistics programmatically. Distributions
+//! (latency percentiles) use `punchsim_metrics::LogHistogram`.
 //!
 //! # Examples
 //!
@@ -17,10 +18,8 @@
 //! assert_eq!(lat.count(), 3);
 //! ```
 
-pub mod histogram;
 pub mod running;
 pub mod table;
 
-pub use histogram::Histogram;
 pub use running::RunningStats;
 pub use table::Table;

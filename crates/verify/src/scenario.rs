@@ -10,7 +10,7 @@
 use punchsim_core::build_power_manager;
 use punchsim_faults::ChoiceInjector;
 use punchsim_noc::{
-    IdleInfo, Message, MsgClass, Network, PgCounters, PmEvent, PowerManager, PowerState, TickMode,
+    IdleInfo, Message, MsgClass, Network, PgCounters, PmEvent, PowerManager, PowerState,
 };
 use punchsim_obs::{EventSink, Stamped};
 use punchsim_types::{
@@ -219,8 +219,9 @@ impl PowerManager for SuppressWu {
 }
 
 /// Builds the scenario network: configured mesh + scheme, tightened
-/// watchdog, strict one-tick-per-cycle stepping, warmup, then the two
-/// corner-to-corner control packets. Returns the fully-armed BFS root.
+/// watchdog, warmup on the network's default tick mode, then the two
+/// corner-to-corner control packets. Returns the fully-armed BFS root
+/// (the checker then steps it one [`Network::tick`] at a time).
 ///
 /// When `sink` is `Some`, it is attached *before* injection so a
 /// counterexample replay captures the inject events too (a network with a
@@ -248,7 +249,6 @@ pub fn build_network(
         pm = Box::new(ChoiceInjector::new(pm, sim.noc.topology));
     }
     let mut net = Network::new(&sim.noc, pm)?;
-    net.set_tick_mode(TickMode::Naive);
     net.run(WARMUP)?;
     if let Some(s) = sink {
         net.set_sink(s);

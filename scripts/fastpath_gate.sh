@@ -1,52 +1,55 @@
 #!/usr/bin/env sh
-# Fast-path speedup gate: run the idle-dominated `fastpath` campaign twice —
-# once with the quiescence fast-forward kernel (the default) and once with
-# `--naive-tick` (the cycle-by-cycle reference) — then enforce the two
-# properties the kernel is sold on:
+# Fast-path gate: run one campaign suite twice — once on the fast path
+# (the default: quiescence fast-forward, traffic host-skip and the SoA word
+# sweep) and once with `--naive-tick` (the serial per-router struct-sweep
+# reference) — then enforce the two properties the fast path is sold on:
 #
-#   1. The benchmark artifacts are byte-identical: skip-ahead must never
-#      change observable results, only wall-clock.
+#   1. The benchmark artifacts are byte-identical: the fast path must
+#      never change observable results, only wall-clock.
 #   2. The fast path's aggregate cycles/sec is at least MIN_RATIO x the
-#      naive path's, from the `.timing.json` sidecars. The suite is sized
-#      so the healthy margin is ~2x; the gate trips at 1.5x, far above
-#      noise but well below the win the kernel must deliver.
+#      reference's, from the `.timing.json` sidecars. CI runs it on the
+#      idle-dominated `fastpath` suite (fast-forward carries the win) and
+#      on the busy-dominated `busy` suite (16x16/32x32 meshes, where the
+#      SoA sweep carries it); both trip at 1.5x, far above noise but well
+#      below the win the fast path must deliver.
 #
-# Usage: scripts/fastpath_gate.sh [OUT_DIR] [MIN_RATIO]
-# Defaults match the CI bench-smoke job. Honors PP_FAST like every other
-# campaign entry point.
+# Usage: scripts/fastpath_gate.sh [SUITE] [OUT_DIR] [MIN_RATIO]
+# Defaults: the fastpath suite into bench-out/<SUITE> at 1.5x. Honors
+# PP_FAST like every other campaign entry point.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-OUT="${1:-bench-out/fastpath}"
-MIN_RATIO="${2:-1.5}"
+SUITE="${1:-fastpath}"
+OUT="${2:-bench-out/$SUITE}"
+MIN_RATIO="${3:-1.5}"
 
 cargo build --release -q
 
-target/release/punchsim-cli campaign --suite fastpath --name fastpath \
+target/release/punchsim-cli campaign --suite "$SUITE" --name "$SUITE" \
     --out "$OUT/fast" --no-cache
-target/release/punchsim-cli campaign --suite fastpath --name fastpath \
+target/release/punchsim-cli campaign --suite "$SUITE" --name "$SUITE" \
     --out "$OUT/naive" --no-cache --naive-tick
 
-if ! cmp "$OUT/fast/BENCH_fastpath.json" "$OUT/naive/BENCH_fastpath.json"; then
-    echo "fastpath_gate: fast-forward changed the benchmark artifact" >&2
+if ! cmp "$OUT/fast/BENCH_$SUITE.json" "$OUT/naive/BENCH_$SUITE.json"; then
+    echo "fastpath_gate: the fast path changed the $SUITE artifact" >&2
     exit 1
 fi
-echo "fastpath_gate: artifacts byte-identical across tick modes"
+echo "fastpath_gate: $SUITE artifacts byte-identical across tick modes"
 
 # First "cycles_per_sec" in each timing sidecar is the campaign aggregate
 # (per-run entries follow it).
 cps() {
     grep -o '"cycles_per_sec": [0-9.eE+-]*' "$1" | head -1 | awk '{print $2}'
 }
-FAST=$(cps "$OUT/fast/BENCH_fastpath.timing.json")
-NAIVE=$(cps "$OUT/naive/BENCH_fastpath.timing.json")
+FAST=$(cps "$OUT/fast/BENCH_$SUITE.timing.json")
+NAIVE=$(cps "$OUT/naive/BENCH_$SUITE.timing.json")
 if [ -z "$FAST" ] || [ -z "$NAIVE" ]; then
     echo "fastpath_gate: missing cycles_per_sec in timing sidecars" >&2
     exit 1
 fi
 
-echo "fastpath_gate: fast=$FAST cyc/s naive=$NAIVE cyc/s (floor ${MIN_RATIO}x)"
+echo "fastpath_gate: $SUITE fast=$FAST cyc/s naive=$NAIVE cyc/s (floor ${MIN_RATIO}x)"
 awk -v f="$FAST" -v n="$NAIVE" -v min="$MIN_RATIO" 'BEGIN {
     if (n <= 0) { print "fastpath_gate: bad naive throughput"; exit 1 }
     ratio = f / n

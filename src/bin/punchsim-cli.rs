@@ -19,8 +19,8 @@
 //!                        |rivals|schemes]
 //!                       [--threads N] [--shards N] [--out DIR]
 //!                       [--name NAME] [--seed N] [--no-cache] [--naive-tick]
-//!                       [--struct-tick] [--sample N] [--trace-out DIR]
-//!                       [--trace-cap N] [--metrics-out PATH]
+//!                       [--sample N] [--trace-out DIR] [--trace-cap N]
+//!                       [--metrics-out PATH]
 //! punchsim-cli compare  BASELINE.json CURRENT.json [--tol-latency R]
 //!                       [--tol-delivered R] [--tol-escalations N]
 //! punchsim-cli verify   [--mesh WxH] [--scheme S] [--faulty] [--broken]
@@ -159,8 +159,8 @@ const USAGE_TEMPLATE: &str = "usage:
                          |rivals|schemes]
                         [--threads N] [--shards N] [--out DIR]
                         [--name NAME] [--seed N] [--no-cache] [--naive-tick]
-                        [--struct-tick] [--sample N] [--trace-out DIR]
-                        [--trace-cap N] [--metrics-out PATH]
+                        [--sample N] [--trace-out DIR] [--trace-cap N]
+                        [--metrics-out PATH]
   punchsim-cli compare  BASELINE.json CURRENT.json [--tol-latency R]
                         [--tol-delivered R] [--tol-escalations N]
   punchsim-cli verify   [--mesh WxH] [--scheme S] [--faulty] [--broken]
@@ -207,15 +207,13 @@ campaign flags:
   --name NAME      artifact name: BENCH_<NAME>.json (default: the suite)
   --seed N         campaign seed (default 0xC0FFEE)
   --no-cache       ignore the result store; simulate every spec
-  --naive-tick     disable quiescence fast-forwarding (cycle-by-cycle
-                   reference mode; same as PP_NAIVE_TICK=1)
-  --struct-tick    disable the SoA busy-tick kernel (per-router struct
-                   scans; same as PP_STRUCT_TICK=1)
-  --shards N       tick each network in N row shards (same as PP_SHARDS=N;
-                   bit-exact for any N; N must be >= 1 and no larger than
-                   the smallest mesh's rows). Shards run on a persistent
-                   worker pool by default; PP_SPAWN_TICK=1 reverts to
-                   spawning threads every tick (reference executor)
+  --naive-tick     run the reference kernel: one serial per-router struct
+                   sweep per cycle, no fast-forward, shards ignored (same
+                   as PP_NAIVE_TICK=1; artifacts are byte-identical)
+  --shards N       tick each network in N row shards on a persistent
+                   worker pool (overrides PP_SHARDS; bit-exact for any N;
+                   N must be >= 1 and no larger than the smallest mesh's
+                   rows)
   --sample N       sample per-interval series every N cycles into the
                    .timing.json sidecar (forces simulation)
   --trace-out DIR  write per-run flight-recorder dumps (JSONL) into DIR
@@ -841,8 +839,8 @@ struct CampaignOpts {
     seed: u64,
     no_cache: bool,
     naive_tick: bool,
-    struct_tick: bool,
-    shards: usize,
+    /// `--shards`; `None` defers to an inherited `PP_SHARDS`.
+    shards: Option<usize>,
     sample: u64,
     trace_out: Option<PathBuf>,
     trace_cap: usize,
@@ -859,8 +857,7 @@ impl CampaignOpts {
             seed: campaign::DEFAULT_SEED,
             no_cache: false,
             naive_tick: false,
-            struct_tick: false,
-            shards: 1,
+            shards: None,
             sample: 0,
             trace_out: None,
             trace_cap: 0,
@@ -875,10 +872,6 @@ impl CampaignOpts {
             }
             if flag == "--naive-tick" {
                 o.naive_tick = true;
-                continue;
-            }
-            if flag == "--struct-tick" {
-                o.struct_tick = true;
                 continue;
             }
             let val = it
@@ -907,7 +900,7 @@ impl CampaignOpts {
                     o.threads = val.parse().map_err(|_| "bad thread count".to_string())?;
                 }
                 "--shards" => {
-                    o.shards = val.parse().map_err(|_| "bad shard count".to_string())?;
+                    o.shards = Some(val.parse().map_err(|_| "bad shard count".to_string())?);
                 }
                 "--out" => o.out = PathBuf::from(val),
                 "--name" => o.name = Some(val.clone()),
@@ -951,13 +944,23 @@ impl CampaignOpts {
         }
     }
 
-    /// Checks `--shards` against every spec in the suite *before* any run
-    /// starts, so a bad count is one typed [`ConfigError`] up front rather
-    /// than a per-run failure midway through the campaign. Mirrors
-    /// `Network::set_shards`: sharding splits the mesh into row bands, so
-    /// the count must fit the smallest topology's rows.
-    fn validate_shards(&self, specs: &[RunSpec]) -> Result<(), ConfigError> {
-        if self.shards == 0 {
+    /// The shard count every run uses: `--shards`, else an inherited
+    /// `PP_SHARDS` (`env`) that parses, else 1 — the same fallback
+    /// `Network::new` applies to an unparsable value.
+    fn effective_shards(&self, env: Option<&str>) -> usize {
+        self.shards
+            .or_else(|| env.and_then(|v| v.parse().ok()))
+            .unwrap_or(1)
+    }
+
+    /// Checks the effective shard count against every spec in the suite
+    /// *before* any run starts, so a bad count is one typed
+    /// [`ConfigError`] up front rather than a per-run failure midway
+    /// through the campaign. Mirrors `Network::set_shards`: sharding
+    /// splits the mesh into row bands, so the count must fit the smallest
+    /// topology's rows.
+    fn validate_shards(shards: usize, specs: &[RunSpec]) -> Result<(), ConfigError> {
+        if shards == 0 {
             return Err(ConfigError::ZeroShards);
         }
         for spec in specs {
@@ -966,11 +969,8 @@ impl CampaignOpts {
                 // Full-system runs drive CmpConfig's fixed 8x8 mesh.
                 Workload::Parsec { .. } => 8,
             };
-            if self.shards > rows as usize {
-                return Err(ConfigError::ShardsExceedRows {
-                    shards: self.shards,
-                    rows,
-                });
+            if shards > rows as usize {
+                return Err(ConfigError::ShardsExceedRows { shards, rows });
             }
         }
         Ok(())
@@ -987,20 +987,18 @@ fn campaign_cmd(args: &[String]) -> ExitCode {
     };
     if opts.naive_tick {
         // Before any worker thread exists: every Network built by this
-        // process ticks cycle-by-cycle (the differential reference mode).
+        // process runs the reference kernel.
         std::env::set_var("PP_NAIVE_TICK", "1");
     }
-    if opts.struct_tick {
-        std::env::set_var("PP_STRUCT_TICK", "1");
-    }
     let specs = opts.specs();
-    if let Err(e) = opts.validate_shards(&specs) {
+    let shards = opts.effective_shards(std::env::var("PP_SHARDS").ok().as_deref());
+    if let Err(e) = CampaignOpts::validate_shards(shards, &specs) {
         eprintln!("error: {e}");
         return ExitCode::FAILURE;
     }
-    if opts.shards != 1 {
-        std::env::set_var("PP_SHARDS", opts.shards.to_string());
-    }
+    // Always exported, so every Network the runs build sees the validated
+    // count, never a stale inherited one.
+    std::env::set_var("PP_SHARDS", shards.to_string());
     let name = opts.name.clone().unwrap_or_else(|| opts.suite.clone());
     let runner = Runner {
         threads: opts.threads,
@@ -1627,8 +1625,7 @@ mod tests {
         assert_eq!(o.seed, campaign::DEFAULT_SEED);
         assert!(!o.no_cache);
         assert!(!o.naive_tick);
-        assert!(!o.struct_tick);
-        assert_eq!(o.shards, 1);
+        assert_eq!(o.shards, None);
         assert!(!o.specs().is_empty());
 
         let o = CampaignOpts::parse(&strs(&[
@@ -1646,18 +1643,16 @@ mod tests {
             "7",
             "--no-cache",
             "--naive-tick",
-            "--struct-tick",
         ]))
         .unwrap();
         assert_eq!(o.suite, "synth");
         assert_eq!(o.threads, 3);
-        assert_eq!(o.shards, 4);
+        assert_eq!(o.shards, Some(4));
         assert_eq!(o.out, PathBuf::from("tmp"));
         assert_eq!(o.name.as_deref(), Some("pr"));
         assert_eq!(o.seed, 7);
         assert!(o.no_cache);
         assert!(o.naive_tick);
-        assert!(o.struct_tick);
         assert_eq!(o.specs().len(), campaign::synthetic_suite(7).len());
 
         let o = CampaignOpts::parse(&strs(&["--suite", "busy"])).unwrap();
@@ -1668,32 +1663,59 @@ mod tests {
     fn campaign_shard_counts_are_validated_up_front() {
         // `--shards 0` is a typed ConfigError, not a panic or a per-run
         // failure.
-        let o = CampaignOpts::parse(&strs(&["--shards", "0"])).unwrap();
-        let specs = o.specs();
         assert!(matches!(
-            o.validate_shards(&specs),
+            resolve_shards(&["--shards", "0"], None),
             Err(ConfigError::ZeroShards)
         ));
         // The ci suite's 8x8 meshes cap the shard count at 8 rows.
-        let o = CampaignOpts::parse(&strs(&["--shards", "9"])).unwrap();
-        let specs = o.specs();
         assert!(matches!(
-            o.validate_shards(&specs),
+            resolve_shards(&["--shards", "9"], None),
             Err(ConfigError::ShardsExceedRows { shards: 9, rows: 8 })
         ));
         // The busy suite's smallest mesh is 16x16, so 9 shards fit there.
-        let o = CampaignOpts::parse(&strs(&["--suite", "busy", "--shards", "9"])).unwrap();
-        let specs = o.specs();
-        assert!(o.validate_shards(&specs).is_ok());
-        let o = CampaignOpts::parse(&strs(&["--suite", "busy", "--shards", "17"])).unwrap();
-        let specs = o.specs();
+        assert_eq!(
+            resolve_shards(&["--suite", "busy", "--shards", "9"], None).unwrap(),
+            9
+        );
         assert!(matches!(
-            o.validate_shards(&specs),
+            resolve_shards(&["--suite", "busy", "--shards", "17"], None),
             Err(ConfigError::ShardsExceedRows {
                 shards: 17,
                 rows: 16
             })
         ));
+    }
+
+    /// What `campaign_cmd` does with its arguments and an inherited
+    /// `PP_SHARDS` value before any run starts.
+    fn resolve_shards(args: &[&str], env: Option<&str>) -> Result<usize, ConfigError> {
+        let o = CampaignOpts::parse(&strs(args)).unwrap();
+        let shards = o.effective_shards(env);
+        CampaignOpts::validate_shards(shards, &o.specs()).map(|()| shards)
+    }
+
+    #[test]
+    fn campaign_shard_count_comes_from_the_flag_then_the_environment() {
+        // Neither given: one shard.
+        assert_eq!(resolve_shards(&[], None).unwrap(), 1);
+        // Environment only.
+        assert_eq!(resolve_shards(&[], Some("4")).unwrap(), 4);
+        // The flag overrides the environment, `--shards 1` included.
+        assert_eq!(resolve_shards(&["--shards", "2"], Some("4")).unwrap(), 2);
+        assert_eq!(resolve_shards(&["--shards", "1"], Some("4")).unwrap(), 1);
+        // An invalid inherited count is the same typed error as the flag.
+        assert!(matches!(
+            resolve_shards(&[], Some("9")),
+            Err(ConfigError::ShardsExceedRows { shards: 9, rows: 8 })
+        ));
+        assert!(matches!(
+            resolve_shards(&[], Some("0")),
+            Err(ConfigError::ZeroShards)
+        ));
+        // ...and a valid flag rescues it.
+        assert_eq!(resolve_shards(&["--shards", "1"], Some("9")).unwrap(), 1);
+        // An unparsable value falls back to one shard, as in `Network::new`.
+        assert_eq!(resolve_shards(&[], Some("many")).unwrap(), 1);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!   and substrates (the same invariant PR 3 pinned for the event sink).
 //! * **Kernel level** — enabling the profiler leaves [`PgCounters`] —
 //!   including the new per-router attribution vectors — bit-identical
-//!   between the SoA and struct busy kernels.
+//!   between the reference and the fast path at every shard count.
 //! * **Internal consistency** — the exported planes sum to their global
 //!   counters and the histogram agrees with the report percentiles, so a
 //!   heatmap and a summary table drawn from the same registry can never
@@ -17,7 +17,6 @@
 
 use punchsim::campaign::{ObserveOpts, RunSpec, Workload};
 use punchsim::metrics::validate_exposition;
-use punchsim::noc::BusyKernel;
 use punchsim::prelude::*;
 use punchsim::types::Torus;
 
@@ -66,13 +65,14 @@ fn metrics_collection_never_changes_results() {
     }
 }
 
-/// One profiled synthetic run on the chosen busy kernel; returns the
-/// report and the exported registry.
-fn profiled_run(kernel: BusyKernel, profiled: bool) -> (NetworkReport, Registry) {
+/// One profiled synthetic run in the chosen tick mode and shard count;
+/// returns the report and the exported registry.
+fn profiled_run(mode: TickMode, shards: usize, profiled: bool) -> (NetworkReport, Registry) {
     let mut cfg = SimConfig::with_scheme(SchemeKind::PowerPunchFull);
-    cfg.noc.topology = Mesh::new(6, 6).into();
+    cfg.noc.topology = Mesh::new(8, 8).into();
     let mut sim = SyntheticSim::new(cfg, TrafficPattern::UniformRandom, 0.01);
-    sim.network_mut().set_busy_kernel(kernel);
+    sim.network_mut().set_tick_mode(mode);
+    sim.network_mut().set_shards(shards).expect("8 rows fit");
     if profiled {
         sim.network_mut().enable_profiler();
     }
@@ -84,18 +84,25 @@ fn profiled_run(kernel: BusyKernel, profiled: bool) -> (NetworkReport, Registry)
     (r, reg)
 }
 
-/// The profiler is wall-clock-only: switching it on, on either kernel,
-/// leaves every power-gating counter — globals and the per-router
-/// attribution vectors — bit-identical.
+/// The profiler is wall-clock-only: switching it on, in either tick mode
+/// and at any shard count, leaves every power-gating counter — globals
+/// and the per-router attribution vectors — bit-identical.
 #[test]
 fn profiler_leaves_pg_counters_identical_across_kernels() {
-    let (reference, _) = profiled_run(BusyKernel::Struct, false);
-    for kernel in [BusyKernel::Struct, BusyKernel::Soa] {
+    let (reference, _) = profiled_run(TickMode::Naive, 1, false);
+    let variants = [
+        (TickMode::Naive, 1),
+        (TickMode::Fast, 1),
+        (TickMode::Fast, 2),
+        (TickMode::Fast, 4),
+        (TickMode::Fast, 7),
+    ];
+    for (mode, shards) in variants {
         for profiled in [false, true] {
-            let (r, _) = profiled_run(kernel, profiled);
+            let (r, _) = profiled_run(mode, shards, profiled);
             assert_eq!(
                 r.pg, reference.pg,
-                "PgCounters drifted: kernel {kernel:?}, profiled {profiled}"
+                "PgCounters drifted: {mode:?} x{shards}, profiled {profiled}"
             );
             assert_eq!(r.stats.packets_delivered, reference.stats.packets_delivered);
             assert_eq!(r.latency_p50(), reference.latency_p50());
@@ -109,7 +116,7 @@ fn profiler_leaves_pg_counters_identical_across_kernels() {
 /// the whole registry renders to a valid Prometheus exposition.
 #[test]
 fn exported_registry_is_internally_consistent() {
-    let (r, reg) = profiled_run(BusyKernel::Soa, true);
+    let (r, reg) = profiled_run(TickMode::Fast, 1, true);
     assert_eq!(
         reg.plane("router_wu_assertions").expect("exported").total(),
         r.pg.wu_assertions,

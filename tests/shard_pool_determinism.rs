@@ -1,17 +1,17 @@
 //! Determinism battery for the persistent shard worker pool.
 //!
-//! The pool is an *execution* detail: sharded phase A runs on long-lived
-//! parked workers instead of per-tick spawned scoped threads, but the
-//! record-then-commit order is unchanged, so every observable — the
-//! bit-exact [`NetworkReport`] digest (latency histogram percentiles
-//! included), [`punchsim::noc::PgCounters`], per-router power states —
-//! must be byte-identical across shard counts, across the pooled and
-//! spawn-per-tick executors, across mid-run reconfiguration (shard
-//! resizes, executor toggles, pool teardown/re-create), and across pool
-//! lifetimes. The battery also pins the pool-era thread-accounting
-//! contract (creations bounded by the shard count, never per tick) and
-//! the typed worker-panic error path (a panicking shard surfaces as
-//! [`SimError::ShardPanic`], never a hang, and the pool survives it).
+//! The pool is an *execution* detail: the fast path's sharded phase A
+//! runs on long-lived parked workers, but the record-then-commit order is
+//! fixed, so every observable — the bit-exact [`NetworkReport`] digest
+//! (latency histogram percentiles included),
+//! [`punchsim::noc::PgCounters`], per-router power states — must be
+//! byte-identical to the serial reference ([`TickMode::Naive`]) across
+//! shard counts, across mid-run reconfiguration (shard resizes, tick-mode
+//! toggles, pool teardown/re-create), and across pool lifetimes. The
+//! battery also pins the thread-accounting contract (creations bounded by
+//! the shard count, never per tick) and the typed worker-panic error path
+//! (a panicking shard surfaces as [`SimError::ShardPanic`], never a hang,
+//! and the pool survives it).
 
 use punchsim::prelude::*;
 
@@ -21,25 +21,11 @@ fn digest(r: &NetworkReport) -> String {
     format!("{r:?}")
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Variant {
-    exec: ShardExec,
-    shards: usize,
-}
-
-/// Serial single-shard ticking under the spawn executor: no worker
-/// threads of either kind exist, so this is the reference everything
-/// else must match bit for bit.
-const REFERENCE: Variant = Variant {
-    exec: ShardExec::Spawn,
-    shards: 1,
-};
-
-fn build(cfg: &SimConfig, rate: f64, v: Variant) -> SyntheticSim {
+fn build(cfg: &SimConfig, rate: f64, mode: TickMode, shards: usize) -> SyntheticSim {
     let mut sim = SyntheticSim::new(cfg.clone(), TrafficPattern::UniformRandom, rate);
     let net = sim.network_mut();
-    net.set_shard_exec(v.exec);
-    net.set_shards(v.shards).expect("valid shard count");
+    net.set_tick_mode(mode);
+    net.set_shards(shards).expect("valid shard count");
     sim
 }
 
@@ -63,34 +49,32 @@ fn assert_same_state(label: &str, at: u64, a: &SyntheticSim, b: &SyntheticSim) {
     );
 }
 
-/// The full matrix: shards {1,2,4,7} x {pool, per-tick spawn} on mesh and
-/// torus under both gating schemes, checkpointed against the serial
+/// The full matrix: the fast path at shards {1,2,4,7} on mesh, torus and
+/// cmesh under both gating schemes, checkpointed against the serial
 /// reference every 200 cycles.
 #[test]
 fn pooled_execution_is_bit_exact_across_the_matrix() {
-    let substrates: [(&str, Substrate); 2] = [
+    let substrates: [(&str, Substrate); 3] = [
         ("mesh8x8", Mesh::new(8, 8).into()),
         ("torus8x8", Substrate::Torus(Torus::new(8, 8))),
+        ("cmesh4x8c2", Substrate::CMesh(CMesh::new(4, 8, 2))),
     ];
     let schemes = [SchemeKind::ConvOptPg, SchemeKind::PowerPunchFull];
-    let variants: Vec<Variant> = [1usize, 2, 4, 7]
-        .iter()
-        .flat_map(|&shards| {
-            [ShardExec::Pool, ShardExec::Spawn]
-                .into_iter()
-                .map(move |exec| Variant { exec, shards })
-        })
-        .collect();
     for (si, &(name, topo)) in substrates.iter().enumerate() {
         for (ki, &scheme) in schemes.iter().enumerate() {
             let mut cfg = SimConfig::with_scheme(scheme);
             cfg.noc.topology = topo;
             cfg.seed = 0xB007 + (si * 2 + ki) as u64;
             let rate = 0.02;
-            let mut reference = build(&cfg, rate, REFERENCE);
-            let mut subjects: Vec<(String, SyntheticSim)> = variants
-                .iter()
-                .map(|&v| (format!("{name}/{scheme:?} vs {v:?}"), build(&cfg, rate, v)))
+            let mut reference = build(&cfg, rate, TickMode::Naive, 1);
+            let mut subjects: Vec<(String, SyntheticSim)> = [1, 2, 4, 7]
+                .into_iter()
+                .map(|shards| {
+                    (
+                        format!("{name}/{scheme:?} vs fast x{shards}"),
+                        build(&cfg, rate, TickMode::Fast, shards),
+                    )
+                })
                 .collect();
             let (warmup, measure, chunk) = (200u64, 600u64, 200u64);
             reference.run(warmup).unwrap();
@@ -114,9 +98,9 @@ fn pooled_execution_is_bit_exact_across_the_matrix() {
 }
 
 /// Mid-run reconfiguration: shard resizes (pool re-created at the new
-/// width) and executor toggles (pool torn down, then lazily re-created)
-/// must be seamless — the run must land on the same digest as a serial
-/// run that never reconfigured anything.
+/// width) and a detour through the serial reference (pool idle, SoA bit
+/// index rebuilt on return) must be seamless — the run must land on the
+/// same digest as a run that never reconfigured anything.
 #[test]
 fn midrun_resizes_and_exec_toggles_change_nothing() {
     let run = |reconfigure: bool| {
@@ -125,20 +109,20 @@ fn midrun_resizes_and_exec_toggles_change_nothing() {
         cfg.seed = 0x9E512E;
         let mut sim = SyntheticSim::new(cfg, TrafficPattern::Transpose, 0.02);
         // Walk through shard widths (growing, shrinking, re-growing) and
-        // flip the executor twice: Pool -> Spawn tears the pool down,
-        // Spawn -> Pool re-creates it on the next sharded tick.
-        let plan: [(usize, ShardExec); 6] = [
-            (1, ShardExec::Pool),
-            (2, ShardExec::Pool),
-            (7, ShardExec::Pool),
-            (4, ShardExec::Spawn),
-            (4, ShardExec::Pool),
-            (2, ShardExec::Pool),
+        // drop to the reference for one leg: the 7 -> 4 resize tears the
+        // pool down, and the next fast sharded tick re-creates it.
+        let plan: [(usize, TickMode); 6] = [
+            (1, TickMode::Fast),
+            (2, TickMode::Fast),
+            (7, TickMode::Fast),
+            (4, TickMode::Naive),
+            (4, TickMode::Fast),
+            (2, TickMode::Fast),
         ];
-        for &(shards, exec) in &plan {
+        for &(shards, mode) in &plan {
             if reconfigure {
                 let net = sim.network_mut();
-                net.set_shard_exec(exec);
+                net.set_tick_mode(mode);
                 net.set_shards(shards).unwrap();
             }
             sim.run(250).unwrap();
@@ -148,9 +132,9 @@ fn midrun_resizes_and_exec_toggles_change_nothing() {
     assert_eq!(run(false), run(true));
 }
 
-/// Pool-era thread accounting: a pooled run creates at most `shards - 1`
-/// worker threads over its whole lifetime (versus one per shard per busy
-/// tick for the spawn executor), and every pooled sharded tick is counted.
+/// Thread accounting: a pooled run creates at most `shards - 1` worker
+/// threads over its whole lifetime (never one per busy tick), and every
+/// pooled sharded tick is counted.
 #[test]
 fn pooled_runs_create_at_most_shards_threads() {
     let shards = 4usize;
@@ -159,7 +143,7 @@ fn pooled_runs_create_at_most_shards_threads() {
     cfg.seed = 0x1007;
     let mut sim = SyntheticSim::new(cfg, TrafficPattern::UniformRandom, 0.05);
     let net = sim.network_mut();
-    net.set_shard_exec(ShardExec::Pool);
+    net.set_tick_mode(TickMode::Fast);
     net.set_shards(shards).unwrap();
     sim.run(2_000).unwrap();
     let (spawn_count, _spawn_nanos) = sim.network().spawn_stats();
@@ -198,7 +182,7 @@ fn worker_panic_is_a_typed_error_and_the_pool_survives() {
     cfg.seed = 0xDEAD;
     let mut sim = SyntheticSim::new(cfg, TrafficPattern::UniformRandom, 0.05);
     let net = sim.network_mut();
-    net.set_shard_exec(ShardExec::Pool);
+    net.set_tick_mode(TickMode::Fast);
     net.set_shards(4).unwrap();
     sim.run(100).unwrap();
     // Arm the test hook: the next pooled sharded tick runs its last

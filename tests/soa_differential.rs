@@ -1,14 +1,14 @@
-//! Differential conformance suite for the SoA busy-tick kernel and the
-//! sharded two-phase tick.
+//! Differential conformance suite for the fast path against the
+//! reference.
 //!
-//! Reference: [`BusyKernel::Struct`] + [`TickMode::Naive`] — the
-//! object-at-a-time kernel ticking literally every cycle. Every case runs
-//! the same experiment under the reference and under the SoA word-sweep
-//! kernel at several shard counts (with and without quiescence
-//! fast-forward), comparing the clock, per-router power states, PG
-//! counters and the full bit-exact [`NetworkReport`] at every checkpoint.
-//! Kernel choice and shard count are execution details; any observable
-//! divergence is a bug.
+//! Reference: [`TickMode::Naive`] — the object-at-a-time struct kernel
+//! ticking literally every cycle on one thread. Every case runs the same
+//! experiment under the reference and under [`TickMode::Fast`] (SoA word
+//! sweep, quiescence fast-forward, traffic host-skip) at shard counts
+//! {1, 2, 4, 7}, comparing the clock, per-router power states, PG counters
+//! and the full bit-exact [`NetworkReport`] at every checkpoint. Tick mode
+//! and shard count are execution details; any observable divergence is a
+//! bug.
 
 use punchsim::prelude::*;
 use punchsim::traffic::InjectionConfig;
@@ -19,30 +19,17 @@ fn digest(r: &NetworkReport) -> String {
     format!("{r:?}")
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Variant {
-    mode: TickMode,
-    kernel: BusyKernel,
-    shards: usize,
-}
-
-const REFERENCE: Variant = Variant {
-    mode: TickMode::Naive,
-    kernel: BusyKernel::Struct,
-    shards: 1,
-};
-
 fn build(
     cfg: &SimConfig,
     pattern: TrafficPattern,
     inj: &InjectionConfig,
-    v: Variant,
+    mode: TickMode,
+    shards: usize,
 ) -> SyntheticSim {
     let mut sim = SyntheticSim::with_injection(cfg.clone(), pattern, inj.clone());
     let net = sim.network_mut();
-    net.set_tick_mode(v.mode);
-    net.set_busy_kernel(v.kernel);
-    net.set_shards(v.shards).expect("valid shard count");
+    net.set_tick_mode(mode);
+    net.set_shards(shards).expect("valid shard count");
     sim
 }
 
@@ -71,8 +58,8 @@ fn assert_same_state(label: &str, at: u64, a: &SyntheticSim, b: &SyntheticSim) {
     );
 }
 
-/// Mixed-load mesh/torus/cmesh cases: every SoA variant must track the
-/// struct+naive reference in lock-step, checkpoint by checkpoint.
+/// Mixed-load mesh/torus/cmesh cases: the fast path at every shard count
+/// must track the reference in lock-step, checkpoint by checkpoint.
 #[test]
 fn soa_kernel_is_observably_identical_to_struct_reference() {
     let substrates: [(&str, Substrate, RoutingKind); 3] = [
@@ -83,8 +70,8 @@ fn soa_kernel_is_observably_identical_to_struct_reference() {
             RoutingKind::Xy,
         ),
         (
-            "cmesh4x4c4",
-            Substrate::CMesh(CMesh::new(4, 4, 4)),
+            "cmesh4x8c2",
+            Substrate::CMesh(CMesh::new(4, 8, 2)),
             RoutingKind::Xy,
         ),
     ];
@@ -93,33 +80,6 @@ fn soa_kernel_is_observably_identical_to_struct_reference() {
         SchemeKind::ConvOptPg,
         SchemeKind::PowerPunchFull,
     ];
-    let variants = [
-        Variant {
-            mode: TickMode::Naive,
-            kernel: BusyKernel::Soa,
-            shards: 1,
-        },
-        Variant {
-            mode: TickMode::Fast,
-            kernel: BusyKernel::Soa,
-            shards: 1,
-        },
-        Variant {
-            mode: TickMode::Fast,
-            kernel: BusyKernel::Soa,
-            shards: 3,
-        },
-        Variant {
-            mode: TickMode::Fast,
-            kernel: BusyKernel::Soa,
-            shards: 4,
-        },
-        Variant {
-            mode: TickMode::Fast,
-            kernel: BusyKernel::Struct,
-            shards: 1,
-        },
-    ];
     for (i, &(name, topo, routing)) in substrates.iter().enumerate() {
         let scheme = schemes[i % schemes.len()];
         let mut cfg = SimConfig::with_scheme(scheme);
@@ -127,18 +87,18 @@ fn soa_kernel_is_observably_identical_to_struct_reference() {
         cfg.noc.routing = routing;
         cfg.seed = 0x50A0 + i as u64;
         // Mixed load: moderate rate with bursts, so the network oscillates
-        // between busy sweeps and quiescent gaps (both kernels exercised).
+        // between busy sweeps and quiescent gaps (fast-forward exercised).
         let mut inj = InjectionConfig::at_rate(0.02);
         inj.burstiness = 0.5;
         inj.slack2_cycles = 6;
         let pattern = TrafficPattern::UniformRandom;
-        let mut reference = build(&cfg, pattern, &inj, REFERENCE);
-        let mut subjects: Vec<(String, SyntheticSim)> = variants
-            .iter()
-            .map(|&v| {
+        let mut reference = build(&cfg, pattern, &inj, TickMode::Naive, 1);
+        let mut subjects: Vec<(String, SyntheticSim)> = [1, 2, 4, 7]
+            .into_iter()
+            .map(|shards| {
                 (
-                    format!("{name}/{scheme:?} vs {v:?}"),
-                    build(&cfg, pattern, &inj, v),
+                    format!("{name}/{scheme:?} vs fast x{shards}"),
+                    build(&cfg, pattern, &inj, TickMode::Fast, shards),
                 )
             })
             .collect();
@@ -162,9 +122,9 @@ fn soa_kernel_is_observably_identical_to_struct_reference() {
     }
 }
 
-/// Switching kernels mid-run must be seamless: the struct path leaves the
-/// bit index stale, and the next SoA tick must rebuild it and continue
-/// exactly where a pure-SoA run would be.
+/// Switching tick modes mid-run must be seamless: the reference leaves
+/// the bit index stale, and the next fast tick must rebuild it and
+/// continue exactly where a pure fast-path run would be.
 #[test]
 fn kernel_switch_mid_run_rebuilds_the_bit_index_exactly() {
     let run = |switchy: bool| {
@@ -172,16 +132,15 @@ fn kernel_switch_mid_run_rebuilds_the_bit_index_exactly() {
         cfg.noc.topology = Mesh::new(8, 8).into();
         cfg.seed = 0x5111;
         let mut sim = SyntheticSim::new(cfg, TrafficPattern::Transpose, 0.02);
-        sim.network_mut().set_tick_mode(TickMode::Naive);
-        sim.network_mut().set_busy_kernel(BusyKernel::Soa);
+        sim.network_mut().set_tick_mode(TickMode::Fast);
         for phase in 0..6u64 {
             if switchy {
-                let k = if phase % 2 == 0 {
-                    BusyKernel::Struct
+                let mode = if phase % 2 == 0 {
+                    TickMode::Naive
                 } else {
-                    BusyKernel::Soa
+                    TickMode::Fast
                 };
-                sim.network_mut().set_busy_kernel(k);
+                sim.network_mut().set_tick_mode(mode);
             }
             sim.run(300).unwrap();
         }
