@@ -26,8 +26,11 @@ pub const BUCKETS: usize = SUB * 61; // 976
 /// statistic and `percentile(1.0)` returns the exact maximum.
 #[derive(Clone, Default)]
 pub struct LogHistogram {
-    /// Per-bucket sample counts; empty until the first record so a
-    /// default histogram costs nothing.
+    /// Per-bucket sample counts, trimmed after the highest bucket used:
+    /// empty until the first record, so a default histogram costs
+    /// nothing, and a latency histogram of a few hundred cycles holds
+    /// tens of buckets instead of all [`BUCKETS`]. Buckets past the end
+    /// count zero.
     counts: Vec<u64>,
     count: u64,
     sum: u128,
@@ -81,15 +84,18 @@ impl LogHistogram {
 
     /// Records one sample.
     pub fn record(&mut self, v: u64) {
-        if self.counts.is_empty() {
-            self.counts = vec![0; BUCKETS];
+        if self.count == 0 {
             self.min = v;
             self.max = v;
         } else {
             self.min = self.min.min(v);
             self.max = self.max.max(v);
         }
-        self.counts[index_of(v)] += 1;
+        let idx = index_of(v);
+        if idx >= self.counts.len() {
+            self.counts.resize(idx + 1, 0);
+        }
+        self.counts[idx] += 1;
         self.count += 1;
         self.sum += v as u128;
     }
@@ -160,9 +166,12 @@ impl LogHistogram {
         if other.count == 0 {
             return;
         }
-        if self.counts.is_empty() {
+        if self.count == 0 {
             *self = other.clone();
             return;
+        }
+        if self.counts.len() < other.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
         }
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
@@ -317,6 +326,140 @@ mod tests {
         assert_eq!(empty.cumulative_buckets(), all.cumulative_buckets());
         all.merge(&LogHistogram::new());
         assert_eq!(empty.count(), all.count());
+    }
+
+    /// The untrimmed layout this histogram replaced: all [`BUCKETS`]
+    /// counts from the first record on, read by the same rules.
+    struct Dense(Vec<u64>);
+
+    impl Dense {
+        fn of(samples: &[u64]) -> Self {
+            let mut counts = vec![0; BUCKETS];
+            for &v in samples {
+                counts[index_of(v)] += 1;
+            }
+            Dense(counts)
+        }
+
+        fn percentile(&self, h: &LogHistogram, q: f64) -> u64 {
+            if h.count() == 0 {
+                return 0;
+            }
+            if q >= 1.0 {
+                return h.max();
+            }
+            let rank = ((q * h.count() as f64).ceil() as u64).max(1);
+            let mut cum = 0u64;
+            for (i, &c) in self.0.iter().enumerate() {
+                cum += c;
+                if cum >= rank {
+                    return lower_bound(i).clamp(h.min(), h.max());
+                }
+            }
+            h.max()
+        }
+
+        fn cumulative_buckets(&self) -> Vec<(u64, u64)> {
+            let mut cum = 0u64;
+            (0..BUCKETS)
+                .filter(|&i| self.0[i] > 0)
+                .map(|i| {
+                    cum += self.0[i];
+                    (upper_bound(i), cum)
+                })
+                .collect()
+        }
+    }
+
+    /// A seeded sample set: mostly small latencies and some wide values,
+    /// plus the extremes 0 and `u64::MAX` for even seeds.
+    fn samples(seed: u64, n: usize) -> Vec<u64> {
+        let mut x = seed;
+        let mut next = move || {
+            // xorshift64*
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            x.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        };
+        let mut xs: Vec<u64> = (0..n)
+            .map(|_| match next() % 4 {
+                0 => next() >> (next() % 64),
+                _ => next() % 200,
+            })
+            .collect();
+        if seed % 2 == 0 {
+            xs.extend([0, u64::MAX]);
+        }
+        xs
+    }
+
+    fn snapshot(h: &LogHistogram) -> (u64, u128, u64, u64, Vec<(u64, u64)>) {
+        (h.count(), h.sum(), h.min(), h.max(), h.cumulative_buckets())
+    }
+
+    #[test]
+    fn trimmed_counts_read_like_the_dense_layout() {
+        for seed in 1..=40u64 {
+            let xs = samples(seed, (seed as usize * 7) % 90);
+            let mut h = LogHistogram::new();
+            for &v in &xs {
+                h.record(v);
+            }
+            let dense = Dense::of(&xs);
+            let used = xs.iter().map(|&v| index_of(v) + 1).max().unwrap_or(0);
+            assert_eq!(h.counts.len(), used, "seed {seed}: trimmed length");
+            assert_eq!(h.cumulative_buckets(), dense.cumulative_buckets());
+            for q in [0.0, 0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999, 1.0] {
+                assert_eq!(
+                    h.percentile(q),
+                    dense.percentile(&h, q),
+                    "seed {seed} q {q}"
+                );
+            }
+            let exact = xs.iter().map(|&v| v as u128).sum::<u128>();
+            let mean = if xs.is_empty() {
+                0.0
+            } else {
+                exact as f64 / xs.len() as f64
+            };
+            assert_eq!(h.mean().to_bits(), mean.to_bits(), "seed {seed}");
+        }
+        // A p99 of 60 cycles needs 47 buckets, not 976.
+        let mut h = LogHistogram::new();
+        h.record(60);
+        assert_eq!(h.counts.len(), 47);
+    }
+
+    #[test]
+    fn merge_is_commutative_across_unequal_lengths() {
+        for seed in 1..=30u64 {
+            let (xs, ys) = (
+                samples(seed, 40),
+                samples(seed + 1000, (seed as usize) % 13),
+            );
+            let (mut a, mut b, mut all) = (
+                LogHistogram::new(),
+                LogHistogram::new(),
+                LogHistogram::new(),
+            );
+            for &v in &xs {
+                a.record(v);
+                all.record(v);
+            }
+            for &v in &ys {
+                b.record(v);
+                all.record(v);
+            }
+            let mut ab = a.clone();
+            ab.merge(&b);
+            let mut ba = b.clone();
+            ba.merge(&a);
+            assert_eq!(snapshot(&ab), snapshot(&ba), "seed {seed}");
+            assert_eq!(snapshot(&ab), snapshot(&all), "seed {seed}");
+            assert_eq!(ab.counts, ba.counts, "seed {seed}");
+            assert_eq!(ab.counts, all.counts, "seed {seed}");
+        }
     }
 
     #[test]

@@ -14,10 +14,10 @@
 //! crossbar (ST) at `s + 1` and is latched downstream at
 //! `s + 1 + link_latency + 1`.
 
-use punchsim_types::{Cycle, NodeId, PacketId, Port, PortMap, MAX_VCS_PER_PORT};
+use punchsim_types::{Cycle, NodeId, PacketId, Port, PortMap, VnetId, MAX_VCS_PER_PORT};
 
-use crate::flit::Flit;
-use crate::vc::{Vc, VcLayout, VcRoute};
+use crate::flit::{Flit, FlitKind, MsgClass};
+use crate::vc::{VcLayout, VcRoute};
 
 /// Per-router dynamic-activity counters consumed by the power model.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -119,19 +119,63 @@ fn split_at_bit(word: u64, start: usize) -> (u64, u64) {
     (word & !low, word & low)
 }
 
+/// One input VC: a ring of `depth` flits at `flits[base..base + depth]`
+/// whose front sits at `base + head`, plus the allocation state of the
+/// packet at its front.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Slot {
+    base: u32,
+    head: u8,
+    len: u8,
+    depth: u8,
+    route: VcRoute,
+}
+
+impl Slot {
+    /// Slab index of the `k`-th buffered flit (`k < len`).
+    #[inline]
+    fn at(&self, k: u8) -> usize {
+        let off = self.head as usize + k as usize;
+        let depth = self.depth as usize;
+        self.base as usize + if off >= depth { off - depth } else { off }
+    }
+}
+
+/// What fills slab entries no flit occupies; never read as a flit.
+const PLACEHOLDER: Flit = Flit {
+    packet: PacketId(0),
+    kind: FlitKind::HeadTail,
+    vnet: VnetId(0),
+    class: MsgClass::Control,
+    dst: NodeId(0),
+    route_port: Port::Local,
+    vc: 0,
+    seq: 0,
+    latched_at: 0,
+};
+
 /// One mesh router: five ports of VC buffers plus separable VA/SA allocators.
+///
+/// Per-VC state is flat (DESIGN.md §20): `slots`, `out_credits` and
+/// `out_vc_busy` are port-major arrays of `5 × total` entries (VC `v` of
+/// port `p` at `p.index() * total + v`), and every input VC's buffer is a
+/// ring in the one `flits` slab, so a clone is four bulk copies.
 #[derive(Debug, Clone)]
 pub struct Router {
     id: NodeId,
     layout: VcLayout,
     stages: u8,
-    inputs: PortMap<Vec<Vc>>,
-    /// Credits toward each downstream VC, per output port. `Local` is the
-    /// ejection port and is initialized effectively infinite (the NI is a
-    /// guaranteed sink, required for protocol-level deadlock freedom).
-    out_credits: PortMap<Vec<u32>>,
-    /// Output VCs currently owned by an in-flight packet.
-    out_vc_busy: PortMap<Vec<bool>>,
+    /// Input VCs, port-major.
+    slots: Vec<Slot>,
+    /// Ring storage of every input VC (`5 × Σdepth` flits).
+    flits: Vec<Flit>,
+    /// Credits toward each downstream VC, port-major by output port.
+    /// `Local` is the ejection port and is initialized effectively
+    /// infinite (the NI is a guaranteed sink, required for protocol-level
+    /// deadlock freedom).
+    out_credits: Vec<u32>,
+    /// Output VCs currently owned by an in-flight packet, port-major.
+    out_vc_busy: Vec<bool>,
     va_rr: PortMap<usize>,
     sa_in_rr: PortMap<usize>,
     sa_out_rr: PortMap<usize>,
@@ -139,7 +183,7 @@ pub struct Router {
     /// when input VC `v` of port `p` holds a flit. `latch` sets it and the
     /// SA pop that empties a VC clears it. Both allocators visit only set
     /// bits, and `datapath_empty` is a test of five words. Derived from
-    /// `inputs`, so it stays out of `encode_state`.
+    /// `slots`, so it stays out of `encode_state`.
     occ: PortMap<u64>,
     /// Activity counters for the power model.
     pub activity: RouterActivity,
@@ -165,21 +209,37 @@ impl Router {
             total <= MAX_VCS_PER_PORT,
             "{total} VCs per port exceed the occupied-VC mask ({MAX_VCS_PER_PORT})"
         );
-        let inputs = PortMap::from_fn(|_| (0..total).map(|i| Vc::new(layout.depth(i))).collect());
-        let out_credits = PortMap::from_fn(|p| match p {
-            Port::Local => vec![EJECT_CREDITS; total],
-            Port::Link(_) if has_neighbor[p] => {
-                (0..total).map(|i| layout.depth(i) as u32).collect()
+        let mut slots = Vec::with_capacity(5 * total);
+        let mut base = 0u32;
+        for _ in Port::ALL {
+            for v in 0..total {
+                let depth = layout.depth(v) as u8;
+                slots.push(Slot {
+                    base,
+                    head: 0,
+                    len: 0,
+                    depth,
+                    route: VcRoute::Unrouted,
+                });
+                base += u32::from(depth);
             }
-            Port::Link(_) => vec![0; total],
-        });
+        }
+        let mut out_credits = Vec::with_capacity(5 * total);
+        for p in Port::ALL {
+            out_credits.extend((0..total).map(|v| match p {
+                Port::Local => EJECT_CREDITS,
+                Port::Link(_) if has_neighbor[p] => layout.depth(v) as u32,
+                Port::Link(_) => 0,
+            }));
+        }
         Router {
             id,
             layout,
             stages,
-            inputs,
+            slots,
+            flits: vec![PLACEHOLDER; base as usize],
             out_credits,
-            out_vc_busy: PortMap::from_fn(|_| vec![false; total]),
+            out_vc_busy: vec![false; 5 * total],
             va_rr: PortMap::default(),
             sa_in_rr: PortMap::default(),
             sa_out_rr: PortMap::default(),
@@ -193,20 +253,56 @@ impl Router {
         self.id
     }
 
+    /// Port-major index of VC `vc` of `port` in the flat per-VC arrays.
+    #[inline]
+    fn idx(&self, port: Port, vc: usize) -> usize {
+        port.index() * self.layout.total() + vc
+    }
+
+    /// The front flit of input VC `i` (port-major index), if any.
+    #[inline]
+    fn front(&self, i: usize) -> Option<&Flit> {
+        let s = &self.slots[i];
+        (s.len > 0).then(|| &self.flits[s.base as usize + s.head as usize])
+    }
+
+    /// Removes and returns the front flit of input VC `i`, which must hold
+    /// one. The slab entry keeps a stale copy outside the ring's live span.
+    #[inline]
+    fn pop(&mut self, i: usize) -> Flit {
+        let s = &mut self.slots[i];
+        assert!(s.len > 0, "pop from an empty VC");
+        let flit = self.flits[s.base as usize + s.head as usize].clone();
+        s.head = if s.head + 1 == s.depth { 0 } else { s.head + 1 };
+        s.len -= 1;
+        flit
+    }
+
     /// Latches `flit` into input `port` (the BW stage) during `cycle`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the target VC is full — upstream credit accounting must
+    /// make this impossible.
     pub fn latch(&mut self, port: Port, mut flit: Flit, cycle: Cycle) {
         flit.latched_at = cycle;
         self.activity.buffer_writes += 1;
         let vc = flit.vc;
-        self.inputs[port][vc].push(flit);
+        let i = self.idx(port, vc);
+        let s = &mut self.slots[i];
+        assert!(s.len < s.depth, "VC overflow: credit accounting violated");
+        let at = s.at(s.len);
+        s.len += 1;
+        self.flits[at] = flit;
         self.occ[port] |= 1 << vc;
     }
 
     /// Returns a credit for downstream VC `vc` of output `port`.
     pub fn credit(&mut self, port: Port, vc: usize) {
-        self.out_credits[port][vc] += 1;
+        let i = self.idx(port, vc);
+        self.out_credits[i] += 1;
         debug_assert!(
-            port == Port::Local || self.out_credits[port][vc] <= self.layout.depth(vc) as u32,
+            port == Port::Local || self.out_credits[i] <= self.layout.depth(vc) as u32,
             "credit overflow on {port} vc{vc}"
         );
     }
@@ -219,26 +315,24 @@ impl Router {
         self.occ.iter().all(|(_, &w)| w == 0)
     }
 
-    /// The occupied-VC word of `port`, recomputed from its VCs.
+    /// The occupied-VC word of `port`, recomputed from its slots.
     fn derive_occ(&self, port: Port) -> u64 {
-        self.inputs[port]
+        let first = self.idx(port, 0);
+        self.slots[first..first + self.layout.total()]
             .iter()
             .enumerate()
-            .filter(|(_, vc)| !vc.is_empty())
+            .filter(|(_, s)| s.len > 0)
             .fold(0, |w, (v, _)| w | 1 << v)
     }
 
-    /// `true` when `occ` matches the VCs it mirrors (debug check).
+    /// `true` when `occ` matches the slots it mirrors (debug check).
     fn occ_in_sync(&self) -> bool {
         Port::ALL.iter().all(|&p| self.derive_occ(p) == self.occ[p])
     }
 
     /// Total buffered flits (debug/occupancy metric).
     pub fn occupancy(&self) -> usize {
-        self.inputs
-            .iter()
-            .map(|(_, vcs)| vcs.iter().map(Vc::len).sum::<usize>())
-            .sum()
+        self.slots.iter().map(|s| s.len as usize).sum()
     }
 
     /// Appends this router's canonical snapshot encoding (see
@@ -249,35 +343,47 @@ impl Router {
     /// credits are excluded: they start effectively infinite and only ever
     /// decrease, which makes them a monotone counter in disguise. Activity
     /// counters are statistics and excluded per the snapshot rules.
+    ///
+    /// A non-empty VC encodes as its flit count, its flits front to back
+    /// and the front packet's route. `va_cycle` is excluded — it only
+    /// distinguishes same-cycle speculative grants, and between ticks it
+    /// is always strictly below the current cycle, so it carries no
+    /// information in the rebased encoding.
     pub fn encode_state(&self, out: &mut Vec<u8>) {
         use crate::snapshot::{put_bool, put_u16, put_u8};
-        for (_, vcs) in self.inputs.iter() {
-            for vc in vcs {
-                if vc.is_empty() && vc.route == VcRoute::Unrouted {
-                    put_u8(out, 0);
-                } else {
+        for s in &self.slots {
+            if s.len == 0 && s.route == VcRoute::Unrouted {
+                put_u8(out, 0);
+                continue;
+            }
+            put_u8(out, 1);
+            put_u8(out, s.len);
+            for k in 0..s.len {
+                self.flits[s.at(k)].encode_state(out);
+            }
+            match s.route {
+                VcRoute::Unrouted => put_u8(out, 0),
+                VcRoute::Routed {
+                    out_port, out_vc, ..
+                } => {
                     put_u8(out, 1);
-                    vc.encode_state(out);
+                    put_u8(out, out_port.index() as u8);
+                    put_u8(out, out_vc as u8);
                 }
             }
         }
-        for (port, credits) in self.out_credits.iter() {
-            if port == Port::Local {
-                continue;
-            }
-            for (idx, &c) in credits.iter().enumerate() {
-                let depth = self.layout.depth(idx) as u32;
-                put_u8(out, depth.saturating_sub(c) as u8);
-            }
+        let total = self.layout.total();
+        // Skip the `Local` block, which comes first.
+        for (i, &c) in self.out_credits.iter().enumerate().skip(total) {
+            let depth = self.layout.depth(i % total) as u32;
+            put_u8(out, depth.saturating_sub(c) as u8);
         }
-        for (_, busy) in self.out_vc_busy.iter() {
-            for &b in busy {
-                put_bool(out, b);
-            }
+        for &b in &self.out_vc_busy {
+            put_bool(out, b);
         }
         // `va_rr` ranges over `0..5 * total`: one byte while that fits (the
         // default layout's encoding), two bytes beyond.
-        let wide_va = 5 * self.layout.total() > 256;
+        let wide_va = 5 * total > 256;
         for (_, &rr) in self.va_rr.iter() {
             if wide_va {
                 put_u16(out, rr as u16);
@@ -316,17 +422,20 @@ impl Router {
     /// ports in rotated order, then the start port's bits below the start
     /// VC, is exactly that modular scan restricted to requesters.
     fn vc_allocate(&mut self, cycle: Cycle) {
+        let total = self.layout.total();
         // req[out][in]: bit v set when VC v of input `in` holds an eligible
         // unrouted head bound for `out`.
         let mut req = [[0u64; 5]; 5];
         let mut any = false;
-        for (in_port, vcs) in self.inputs.iter() {
+        for in_port in Port::ALL {
+            let first = in_port.index() * total;
             for iv in SetBits(self.occ[in_port]) {
-                let vc = &vcs[iv];
-                if vc.route != VcRoute::Unrouted {
+                if self.slots[first + iv].route != VcRoute::Unrouted {
                     continue;
                 }
-                let front = vc.front().expect("occupied VC has a front flit");
+                let front = self
+                    .front(first + iv)
+                    .expect("occupied VC has a front flit");
                 if !front.kind.is_head() || front.latched_at >= cycle {
                     continue;
                 }
@@ -337,7 +446,6 @@ impl Router {
         if !any {
             return;
         }
-        let total = self.layout.total();
         let space = 5 * total;
         for out_port in Port::ALL {
             let words = &req[out_port.index()];
@@ -347,6 +455,7 @@ impl Router {
             let start = self.va_rr[out_port] % space;
             let (start_port, start_vc) = (start / total, start % total);
             let (high, low) = split_at_bit(words[start_port], start_vc);
+            let out_first = out_port.index() * total;
             let mut granted_any = false;
             for k in 0..=5 {
                 let ip_idx = (start_port + k) % 5;
@@ -355,19 +464,17 @@ impl Router {
                     5 => low,
                     _ => words[ip_idx],
                 };
-                let in_port = Port::ALL[ip_idx];
                 for iv in SetBits(bits) {
+                    let i = ip_idx * total + iv;
                     // Find a free output VC of the right vnet/class.
-                    let front = self.inputs[in_port][iv]
-                        .front()
-                        .expect("request implies a front flit");
+                    let front = self.front(i).expect("request implies a front flit");
                     let cand = self.layout.candidates(front.vnet, front.class);
-                    let Some(out_vc) = cand.clone().find(|&ov| !self.out_vc_busy[out_port][ov])
+                    let Some(out_vc) = cand.clone().find(|&ov| !self.out_vc_busy[out_first + ov])
                     else {
                         continue;
                     };
-                    self.out_vc_busy[out_port][out_vc] = true;
-                    self.inputs[in_port][iv].route = VcRoute::Routed {
+                    self.out_vc_busy[out_first + out_vc] = true;
+                    self.slots[i].route = VcRoute::Routed {
                         out_port,
                         out_vc,
                         va_cycle: cycle,
@@ -375,7 +482,7 @@ impl Router {
                     self.activity.va_grants += 1;
                     if !granted_any {
                         // Rotate past the first winner.
-                        self.va_rr[out_port] = (ip_idx * total + iv + 1) % space;
+                        self.va_rr[out_port] = (i + 1) % space;
                         granted_any = true;
                     }
                 }
@@ -393,6 +500,7 @@ impl Router {
             in_port: Port,
             in_vc: usize,
             out_port: Port,
+            out_vc: usize,
             speculative: bool,
         }
         let mut per_input: PortMap<Option<Cand>> = PortMap::default();
@@ -400,13 +508,15 @@ impl Router {
         let blocked_from = out.pg_blocked.len();
         let total = self.layout.total();
         for in_port in Port::ALL {
+            let first = in_port.index() * total;
             // Occupied VCs in the rotated order `(start + off) % total`.
             let start = self.sa_in_rr[in_port] % total;
             let (high, low) = split_at_bit(self.occ[in_port], start);
             let mut best: Option<Cand> = None;
             for iv in SetBits(high).chain(SetBits(low)) {
-                let vc = &self.inputs[in_port][iv];
-                let front = vc.front().expect("occupied VC has a front flit");
+                let front = self
+                    .front(first + iv)
+                    .expect("occupied VC has a front flit");
                 if front.latched_at >= cycle {
                     continue;
                 }
@@ -414,7 +524,7 @@ impl Router {
                     out_port,
                     out_vc,
                     va_cycle,
-                } = vc.route
+                } = self.slots[first + iv].route
                 else {
                     continue;
                 };
@@ -422,7 +532,7 @@ impl Router {
                 if speculative && self.stages != 3 {
                     continue; // 4-stage: SA starts the cycle after VA.
                 }
-                if self.out_credits[out_port][out_vc] == 0 {
+                if self.out_credits[out_port.index() * total + out_vc] == 0 {
                     continue; // no downstream buffer space
                 }
                 if !down_on[out_port] {
@@ -443,6 +553,7 @@ impl Router {
                     in_port,
                     in_vc: iv,
                     out_port,
+                    out_vc,
                     speculative,
                 };
                 match &best {
@@ -479,24 +590,22 @@ impl Router {
             let Some((ip_idx, c)) = winner else { continue };
             self.sa_out_rr[out_port] = (ip_idx + 1) % 5;
             // Grant: pop the flit, consume a credit, update VC state.
-            let VcRoute::Routed { out_vc, .. } = self.inputs[c.in_port][c.in_vc].route else {
-                unreachable!("winner must be routed")
-            };
-            let vc = &mut self.inputs[c.in_port][c.in_vc];
-            let mut flit = vc.pop().expect("winner has a front flit");
-            if vc.is_empty() {
+            let i = ip_idx * total + c.in_vc;
+            let o = out_port.index() * total + c.out_vc;
+            let mut flit = self.pop(i);
+            if self.slots[i].len == 0 {
                 self.occ[c.in_port] &= !(1 << c.in_vc);
             }
             if flit.kind.is_tail() {
-                vc.route = VcRoute::Unrouted;
-                self.out_vc_busy[c.out_port][out_vc] = false;
+                self.slots[i].route = VcRoute::Unrouted;
+                self.out_vc_busy[o] = false;
             }
-            self.out_credits[c.out_port][out_vc] -= 1;
+            self.out_credits[o] -= 1;
             self.sa_in_rr[c.in_port] = (c.in_vc + 1) % total;
             self.activity.buffer_reads += 1;
             self.activity.crossbar_traversals += 1;
             self.activity.sa_grants += 1;
-            flit.vc = out_vc;
+            flit.vc = c.out_vc;
             out.departures.push(Departure {
                 out_port: c.out_port,
                 in_port: c.in_port,
@@ -517,8 +626,8 @@ mod reference;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flit::{FlitKind, MsgClass};
-    use punchsim_types::{Direction, NocConfig, SimRng, VnetId};
+    use punchsim_types::{Direction, NocConfig, SimRng};
+    use std::collections::VecDeque;
 
     fn mk_router() -> Router {
         let cfg = NocConfig::default();
@@ -775,7 +884,8 @@ mod tests {
                     continue;
                 }
                 let v = rng.random_range(0..total);
-                if fast.inputs[p][v].len() == fast.inputs[p][v].depth() {
+                let slot = fast.slots[fast.idx(p, v)];
+                if slot.len == slot.depth {
                     continue;
                 }
                 let s = streams[p][v].get_or_insert_with(|| Stream {
@@ -835,11 +945,8 @@ mod tests {
             assert_eq!(fast_bytes, ref_bytes, "cycle {cycle}");
             // What the encoding leaves out: VA cycles, ejection credits and
             // the occupied-VC mask.
-            for p in Port::ALL {
-                let routes = |r: &Router| r.inputs[p].iter().map(|vc| vc.route).collect::<Vec<_>>();
-                assert_eq!(routes(&fast), routes(&refr), "cycle {cycle}");
-            }
-            assert_eq!(fast.out_credits[Port::Local], refr.out_credits[Port::Local]);
+            assert_eq!(fast.slots, refr.slots, "cycle {cycle}");
+            assert_eq!(fast.out_credits, refr.out_credits, "cycle {cycle}");
             assert_eq!(fast.occ, refr.occ, "cycle {cycle}");
             for d in &out.departures {
                 if d.out_port != Port::Local {
@@ -865,6 +972,98 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Streams packets through a single VC of `depth` flits, latching a
+    /// random number of flits each cycle (up to the free space) and
+    /// withholding credits now and then so the ring both fills and drains.
+    /// Its head wraps at every fill level; departures must leave in latch
+    /// order and the slot must mirror a `VecDeque` model every cycle.
+    fn ring_wraparound(depth: u8, seed: u64) {
+        let cfg = NocConfig {
+            vnets: 1,
+            data_vcs_per_vnet: 1,
+            ctrl_vcs_per_vnet: 0,
+            data_vc_depth: depth,
+            ..NocConfig::default()
+        };
+        cfg.validate().unwrap();
+        let mut r = Router::new(
+            NodeId(0),
+            VcLayout::new(&cfg),
+            3,
+            PortMap::from_fn(|_| true),
+        );
+        let out = Port::Link(Direction::East);
+        let mut rng = SimRng::seed_from_u64(seed);
+        let mut model: VecDeque<(PacketId, u16)> = VecDeque::new();
+        // The packet being latched: (id, next seq, length).
+        let mut cur = (PacketId(0), 0u16, 1u16);
+        let (mut owed, mut departed, mut wraps) = (0u32, 0usize, 0usize);
+        for cycle in 1..=600 {
+            let free = usize::from(depth) - model.len();
+            for _ in 0..rng.random_range(0..free + 1) {
+                let (packet, seq, len) = cur;
+                let kind = match (seq, len) {
+                    (_, 1) => FlitKind::HeadTail,
+                    (0, _) => FlitKind::Head,
+                    (q, l) if q + 1 == l => FlitKind::Tail,
+                    _ => FlitKind::Body,
+                };
+                let mut f = flit(kind, seq, out);
+                f.packet = packet;
+                r.latch(Port::Local, f, cycle);
+                model.push_back((packet, seq));
+                cur = if seq + 1 == len {
+                    let len = rng.random_range(1..2 * u16::from(depth) + 2);
+                    (PacketId(packet.0 + 1), 0, len)
+                } else {
+                    (packet, seq + 1, len)
+                };
+            }
+            if rng.random_bool_ppm(600_000) {
+                for _ in 0..std::mem::take(&mut owed) {
+                    r.credit(out, 0);
+                }
+            }
+            let head_before = r.slots[0].head;
+            for d in alloc(&mut r, cycle, &all_on()).departures {
+                assert_eq!(model.pop_front(), Some((d.flit.packet, d.flit.seq)));
+                owed += 1;
+                departed += 1;
+            }
+            if r.slots[0].head < head_before {
+                wraps += 1;
+            }
+            assert_eq!(r.occupancy(), model.len(), "cycle {cycle}");
+            assert_eq!(r.datapath_empty(), model.is_empty(), "cycle {cycle}");
+            let front = r.front(0).map(|f| (f.packet, f.seq));
+            assert_eq!(front, model.front().copied(), "cycle {cycle}");
+        }
+        assert!(departed > 120, "depth {depth}: {departed} departures");
+        if depth > 1 {
+            assert!(wraps > 20, "depth {depth}: head wrapped {wraps} times");
+        }
+    }
+
+    #[test]
+    fn vc_ring_wraps_in_fifo_order() {
+        for depth in [1, 3, 15] {
+            for seed in 0..3 {
+                ring_wraparound(depth, 0x21a6_0000 + seed);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "VC overflow: credit accounting violated")]
+    fn latching_into_a_full_vc_panics() {
+        let mut r = mk_router();
+        let mut f = flit(FlitKind::HeadTail, 0, Port::Local);
+        f.class = MsgClass::Control;
+        f.vc = 2; // the 1-flit control VC of vnet 0
+        r.latch(Port::Local, f.clone(), 10);
+        r.latch(Port::Local, f, 10);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The executable reference for the bitmask allocators: the modular-scan
 //! VC and switch allocators they replaced, kept verbatim apart from the
-//! method names and the dropped `buffered` counter update (that counter is
-//! gone; `reference_allocate` re-derives the occupied-VC mask instead).
+//! method names, the dropped `buffered` counter update (that counter is
+//! gone; `reference_allocate` re-derives the occupied-VC mask instead) and
+//! the port-major indexing of the flat slot table.
 //! The differential test in `router.rs` drives both on clones of one
 //! router and asserts they never diverge.
 
@@ -28,12 +29,13 @@ impl Router {
     fn reference_vc_allocate(&mut self, cycle: Cycle) {
         // Gather requests: (in_port, in_vc, out_port) for eligible unrouted heads.
         let mut requests: Vec<(Port, usize, Port)> = Vec::new();
-        for (in_port, vcs) in self.inputs.iter() {
-            for (in_vc, vc) in vcs.iter().enumerate() {
-                if !matches!(vc.route, VcRoute::Unrouted) {
+        for in_port in Port::ALL {
+            for in_vc in 0..self.layout.total() {
+                let i = self.idx(in_port, in_vc);
+                if !matches!(self.slots[i].route, VcRoute::Unrouted) {
                     continue;
                 }
-                let Some(front) = vc.front() else { continue };
+                let Some(front) = self.front(i) else { continue };
                 if !front.kind.is_head() || front.latched_at >= cycle {
                     continue;
                 }
@@ -59,14 +61,14 @@ impl Router {
                 };
                 let _ = (rp, rv);
                 // Find a free output VC of the right vnet/class.
-                let front = self.inputs[in_port][iv]
-                    .front()
-                    .expect("request implies a front flit");
+                let i = self.idx(in_port, iv);
+                let front = self.front(i).expect("request implies a front flit");
                 let cand = self.layout.candidates(front.vnet, front.class);
-                let free = cand.clone().find(|&ov| !self.out_vc_busy[out_port][ov]);
+                let out_first = self.idx(out_port, 0);
+                let free = cand.clone().find(|&ov| !self.out_vc_busy[out_first + ov]);
                 let Some(out_vc) = free else { continue };
-                self.out_vc_busy[out_port][out_vc] = true;
-                self.inputs[in_port][iv].route = VcRoute::Routed {
+                self.out_vc_busy[out_first + out_vc] = true;
+                self.slots[i].route = VcRoute::Routed {
                     out_port,
                     out_vc,
                     va_cycle: cycle,
@@ -102,8 +104,8 @@ impl Router {
             let mut best: Option<Cand> = None;
             for off in 0..total {
                 let iv = (start + off) % total;
-                let vc = &self.inputs[in_port][iv];
-                let Some(front) = vc.front() else { continue };
+                let i = self.idx(in_port, iv);
+                let Some(front) = self.front(i) else { continue };
                 if front.latched_at >= cycle {
                     continue;
                 }
@@ -111,7 +113,7 @@ impl Router {
                     out_port,
                     out_vc,
                     va_cycle,
-                } = vc.route
+                } = self.slots[i].route
                 else {
                     continue;
                 };
@@ -119,7 +121,7 @@ impl Router {
                 if speculative && self.stages != 3 {
                     continue; // 4-stage: SA starts the cycle after VA.
                 }
-                if self.out_credits[out_port][out_vc] == 0 {
+                if self.out_credits[self.idx(out_port, out_vc)] == 0 {
                     continue; // no downstream buffer space
                 }
                 if !down_on[out_port] {
@@ -174,16 +176,17 @@ impl Router {
             let Some((ip_idx, c)) = winner else { continue };
             self.sa_out_rr[out_port] = (ip_idx + 1) % 5;
             // Grant: pop the flit, consume a credit, update VC state.
-            let VcRoute::Routed { out_vc, .. } = self.inputs[c.in_port][c.in_vc].route else {
+            let i = self.idx(c.in_port, c.in_vc);
+            let VcRoute::Routed { out_vc, .. } = self.slots[i].route else {
                 unreachable!("winner must be routed")
             };
-            let vc = &mut self.inputs[c.in_port][c.in_vc];
-            let mut flit = vc.pop().expect("winner has a front flit");
+            let o = self.idx(c.out_port, out_vc);
+            let mut flit = self.pop(i);
             if flit.kind.is_tail() {
-                vc.route = VcRoute::Unrouted;
-                self.out_vc_busy[c.out_port][out_vc] = false;
+                self.slots[i].route = VcRoute::Unrouted;
+                self.out_vc_busy[o] = false;
             }
-            self.out_credits[c.out_port][out_vc] -= 1;
+            self.out_credits[o] -= 1;
             self.sa_in_rr[c.in_port] = (c.in_vc + 1) % self.layout.total();
             self.activity.buffer_reads += 1;
             self.activity.crossbar_traversals += 1;

@@ -9,7 +9,7 @@
 //! into one bit per router packed into `u64` words owned by [`SoaState`].
 //! Busy sweeps then iterate set bits (`trailing_zeros` per active router,
 //! one word test per 64 idle routers) instead of chasing structs. The
-//! `Router`/`Vc`/`Ni` structs remain the authoritative flit storage and the
+//! `Router`/`Ni` structs remain the authoritative flit storage and the
 //! views `encode_state` and the reference kernel
 //! ([`crate::TickMode::Naive`]) read; the bit words are an
 //! incrementally-maintained index over them, rebuilt from the structs

@@ -1,10 +1,10 @@
-//! Virtual channels and input-port buffering.
-
-use std::collections::VecDeque;
+//! Virtual-channel layout and per-VC allocation state. The buffers
+//! themselves live in the router's flat slot table and flit slab
+//! (`router.rs`, DESIGN.md §20).
 
 use punchsim_types::{NocConfig, Port, VnetId};
 
-use crate::flit::{Flit, MsgClass};
+use crate::flit::MsgClass;
 
 /// Layout of the VCs of one input port: for each virtual network, first the
 /// data VCs, then the control VCs (§2.1: two 3-flit data VCs and one 1-flit
@@ -94,93 +94,6 @@ pub enum VcRoute {
     },
 }
 
-/// One virtual-channel FIFO of an input port.
-#[derive(Debug, Clone)]
-pub struct Vc {
-    flits: VecDeque<Flit>,
-    depth: usize,
-    /// Allocation state of the packet at the front of the queue.
-    pub route: VcRoute,
-}
-
-impl Vc {
-    /// Creates an empty VC with the given buffer depth.
-    pub fn new(depth: usize) -> Self {
-        Vc {
-            flits: VecDeque::with_capacity(depth),
-            depth,
-            route: VcRoute::Unrouted,
-        }
-    }
-
-    /// Buffer depth in flits.
-    #[inline]
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Number of buffered flits.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.flits.len()
-    }
-
-    /// `true` when no flits are buffered.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.flits.is_empty()
-    }
-
-    /// Latches a flit into the buffer (the BW stage).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer is full — upstream credit accounting must make
-    /// this impossible.
-    pub fn push(&mut self, flit: Flit) {
-        assert!(
-            self.flits.len() < self.depth,
-            "VC overflow: credit accounting violated"
-        );
-        self.flits.push_back(flit);
-    }
-
-    /// The flit at the front of the queue, if any.
-    #[inline]
-    pub fn front(&self) -> Option<&Flit> {
-        self.flits.front()
-    }
-
-    /// Removes and returns the front flit (on a switch-allocation grant).
-    pub fn pop(&mut self) -> Option<Flit> {
-        self.flits.pop_front()
-    }
-
-    /// Appends this VC's canonical snapshot encoding (see
-    /// [`crate::snapshot`]): the buffered flits and the allocation state of
-    /// the front packet. `va_cycle` is excluded — it only distinguishes
-    /// same-cycle speculative grants, and between ticks it is always
-    /// strictly below the current cycle, so it carries no information in
-    /// the rebased encoding.
-    pub fn encode_state(&self, out: &mut Vec<u8>) {
-        use crate::snapshot::put_u8;
-        put_u8(out, self.flits.len() as u8);
-        for flit in &self.flits {
-            flit.encode_state(out);
-        }
-        match self.route {
-            VcRoute::Unrouted => put_u8(out, 0),
-            VcRoute::Routed {
-                out_port, out_vc, ..
-            } => {
-                put_u8(out, 1);
-                put_u8(out, out_port.index() as u8);
-                put_u8(out, out_vc as u8);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,54 +125,5 @@ mod tests {
         assert_eq!(l.candidates(VnetId(0), MsgClass::Control), 2..3);
         assert_eq!(l.candidates(VnetId(2), MsgClass::Data), 6..8);
         assert_eq!(l.candidates(VnetId(2), MsgClass::Control), 8..9);
-    }
-
-    #[test]
-    fn vc_fifo_order() {
-        use crate::flit::{FlitKind, MsgClass};
-        use punchsim_types::{NodeId, PacketId, Port};
-        let mut vc = Vc::new(3);
-        for seq in 0..3 {
-            vc.push(Flit {
-                packet: PacketId(1),
-                kind: if seq == 0 {
-                    FlitKind::Head
-                } else {
-                    FlitKind::Body
-                },
-                vnet: VnetId(0),
-                class: MsgClass::Data,
-                dst: NodeId(5),
-                route_port: Port::Local,
-                vc: 0,
-                seq,
-                latched_at: 0,
-            });
-        }
-        assert_eq!(vc.len(), 3);
-        assert_eq!(vc.pop().unwrap().seq, 0);
-        assert_eq!(vc.pop().unwrap().seq, 1);
-        assert_eq!(vc.front().unwrap().seq, 2);
-    }
-
-    #[test]
-    #[should_panic]
-    fn vc_overflow_panics() {
-        use crate::flit::{FlitKind, MsgClass};
-        use punchsim_types::{NodeId, PacketId, Port};
-        let mut vc = Vc::new(1);
-        let f = Flit {
-            packet: PacketId(1),
-            kind: FlitKind::HeadTail,
-            vnet: VnetId(0),
-            class: MsgClass::Control,
-            dst: NodeId(0),
-            route_port: Port::Local,
-            vc: 0,
-            seq: 0,
-            latched_at: 0,
-        };
-        vc.push(f.clone());
-        vc.push(f);
     }
 }

@@ -11,9 +11,9 @@
 //! access pattern laziness could silently break. Watermark folding is an
 //! execution detail; any observable divergence is a bug.
 
-use punchsim::core::gating::reference::EagerGateArray;
 use punchsim::core::gating::GateArray;
 use punchsim::prelude::*;
+use reference::EagerGateArray;
 
 /// One observation point: states and counters must match exactly.
 fn assert_same(trial: usize, cycle: Cycle, lazy: &GateArray, eager: &EagerGateArray, n: usize) {
@@ -149,4 +149,147 @@ fn clone_carries_pending_debt_exactly() {
     let cloned = lazy.clone();
     assert_eq!(cloned.counters(), eager.counters());
     assert_eq!(lazy.counters(), eager.counters());
+}
+
+/// The eager reference implementation of the gate array: a full
+/// O(routers) sweep per cycle with counters updated in place — the
+/// executable specification the lazy [`GateArray`] is differentially
+/// tested against, in the same spirit as the naive-vs-fast tick oracle.
+mod reference {
+    use punchsim::noc::{PgCounters, PowerState};
+    use punchsim::types::{Cycle, NodeId};
+
+    /// Internal state of one router's sleep switch (eager twin).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum EGate {
+        On { idle_cycles: u32 },
+        Off,
+        Waking { ready_at: Cycle },
+    }
+
+    /// Eagerly-accounted gate array; same observable API subset as
+    /// [`super::GateArray`], O(routers) per cycle by construction.
+    #[derive(Debug, Clone)]
+    pub struct EagerGateArray {
+        gates: Vec<EGate>,
+        wakeup_latency: Cycle,
+        idle_timeout: u32,
+        counters: PgCounters,
+    }
+
+    impl EagerGateArray {
+        /// Creates `n` routers, all powered on.
+        pub fn new(n: usize, wakeup_latency: u32, idle_timeout: u32) -> Self {
+            EagerGateArray {
+                gates: vec![EGate::On { idle_cycles: 0 }; n],
+                wakeup_latency: wakeup_latency as Cycle,
+                idle_timeout,
+                counters: PgCounters::new(n),
+            }
+        }
+
+        /// Public power state of router `r`.
+        pub fn state(&self, r: NodeId) -> PowerState {
+            match self.gates[r.index()] {
+                EGate::On { .. } => PowerState::On,
+                EGate::Off => PowerState::Off,
+                EGate::Waking { ready_at } => PowerState::WakingUp { ready_at },
+            }
+        }
+
+        /// Activity counters (always exact — every cycle is accounted in
+        /// place).
+        pub fn counters(&self) -> &PgCounters {
+            &self.counters
+        }
+
+        /// Eager per-cycle accounting sweep over every router.
+        pub fn begin_cycle(&mut self, cycle: Cycle) {
+            for (i, g) in self.gates.iter_mut().enumerate() {
+                match *g {
+                    EGate::Off => self.counters.off_cycles[i] += 1,
+                    EGate::Waking { ready_at } => {
+                        self.counters.waking_cycles[i] += 1;
+                        if cycle + 1 >= ready_at {
+                            *g = EGate::On { idle_cycles: 0 };
+                        }
+                    }
+                    EGate::On { .. } => {}
+                }
+            }
+        }
+
+        /// See [`super::GateArray::request_wake`].
+        pub fn request_wake(&mut self, r: NodeId, cycle: Cycle) {
+            let i = r.index();
+            match self.gates[i] {
+                EGate::Off => {
+                    self.counters.wake_events[i] += 1;
+                    self.gates[i] = EGate::Waking {
+                        ready_at: cycle + self.wakeup_latency,
+                    };
+                }
+                EGate::On { .. } => self.gates[i] = EGate::On { idle_cycles: 0 },
+                EGate::Waking { .. } => self.counters.wu_retries += 1,
+            }
+        }
+
+        /// See [`super::GateArray::force_wake`].
+        pub fn force_wake(&mut self, r: NodeId, cycle: Cycle) {
+            self.counters.record_escalation(r);
+            if self.gates[r.index()] == EGate::Off {
+                let i = r.index();
+                self.counters.wake_events[i] += 1;
+                self.gates[i] = EGate::Waking {
+                    ready_at: cycle + self.wakeup_latency,
+                };
+            }
+        }
+
+        /// See [`super::GateArray::keep_awake`].
+        pub fn keep_awake(&mut self, r: NodeId) {
+            if let EGate::On { .. } = self.gates[r.index()] {
+                self.gates[r.index()] = EGate::On { idle_cycles: 0 };
+            }
+        }
+
+        /// See [`super::GateArray::reset_counters`].
+        pub fn reset_counters(&mut self) {
+            self.counters.reset();
+        }
+
+        /// Eager full-scan sleep sweep over every router.
+        pub fn advance_idle(&mut self, idle: &[bool], mut may_sleep: impl FnMut(usize) -> bool) {
+            for (i, g) in self.gates.iter_mut().enumerate() {
+                if let EGate::On { idle_cycles } = *g {
+                    if idle[i] {
+                        let ic = idle_cycles + 1;
+                        if ic >= self.idle_timeout && may_sleep(i) {
+                            self.counters.sleep_events[i] += 1;
+                            *g = EGate::Off;
+                        } else {
+                            *g = EGate::On { idle_cycles: ic };
+                        }
+                    } else {
+                        *g = EGate::On { idle_cycles: 0 };
+                    }
+                }
+            }
+        }
+
+        /// Per-cycle loop equivalent of [`super::GateArray::advance_quiet`]
+        /// (the eager spec has no closed form — it just replays the span).
+        pub fn advance_quiet(
+            &mut self,
+            from: Cycle,
+            to: Cycle,
+            mut sleep_floor: impl FnMut(usize) -> Cycle,
+        ) {
+            let all_idle = vec![true; self.gates.len()];
+            for c in from..to {
+                self.begin_cycle(c);
+                self.advance_idle(&all_idle, |i| c >= sleep_floor(i));
+            }
+        }
+    }
 }
